@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "crypto/aead.hpp"
+#include "crypto/bignum.hpp"
 #include "crypto/chacha20.hpp"
 #include "crypto/crc32.hpp"
 #include "crypto/dh.hpp"
@@ -177,6 +178,21 @@ void BM_DhHandshake(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DhHandshake);
+
+// One modp1024 modexp with a full-width exponent: the unit a VPN session
+// pays four times (two key generations, two shared secrets).
+void BM_DhModExp(benchmark::State& state) {
+  const auto& group = crypto::DhGroup::modp1024();
+  util::Prng rng(1);
+  const auto peer = crypto::DhKeyPair::generate(group, rng);
+  const crypto::BigUint exp =
+      crypto::BigUint::from_bytes_be(random_bytes(group.byte_len, 2));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        crypto::BigUint::mod_pow(peer.public_value(), exp, group.p));
+  }
+}
+BENCHMARK(BM_DhModExp)->Unit(benchmark::kMicrosecond);
 
 void BM_FrameSerializeParse(benchmark::State& state) {
   dot11::Frame f;

@@ -1,6 +1,9 @@
 #include "crypto/bignum.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstddef>
 
 #include "util/assert.hpp"
 
@@ -8,7 +11,71 @@ namespace rogue::crypto {
 
 namespace {
 __extension__ using u128 = unsigned __int128;
-}
+
+constexpr std::size_t kMaxLimbs = 16;  // 1024-bit moduli
+constexpr std::size_t kWindow = 5;     // exponent bits per table lookup
+using Limbs = std::array<std::uint64_t, kMaxLimbs>;
+
+/// Arithmetic modulo an odd n-limb m in Montgomery form, R = 2^(64n).
+/// Every Limbs value is < m; limbs at and above n stay zero.
+struct Montgomery {
+  Limbs m{};
+  std::size_t n = 0;
+  std::uint64_t m_inv = 0;  ///< -m^-1 mod 2^64
+
+  /// x -= m when x + carry * 2^(64n) >= m. Exact for inputs below 2m.
+  void sub_if_ge(Limbs& x, std::uint64_t carry) const {
+    Limbs d{};
+    std::uint64_t borrow = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      const u128 diff = static_cast<u128>(x[j]) - m[j] - borrow;
+      d[j] = static_cast<std::uint64_t>(diff);
+      borrow = static_cast<std::uint64_t>(diff >> 64) & 1;
+    }
+    if (carry != 0 || borrow == 0) x = d;
+  }
+
+  /// x = 2x mod m.
+  void double_mod(Limbs& x) const {
+    const std::uint64_t carry = x[n - 1] >> 63;
+    for (std::size_t j = n - 1; j > 0; --j) x[j] = (x[j] << 1) | (x[j - 1] >> 63);
+    x[0] <<= 1;
+    sub_if_ge(x, carry);
+  }
+
+  /// out = a * b * R^-1 mod m by coarsely integrated operand scanning
+  /// (CIOS). `out` may alias `a` or `b`.
+  void mul(const Limbs& a, const Limbs& b, Limbs& out) const {
+    std::array<std::uint64_t, kMaxLimbs + 2> t{};
+    for (std::size_t i = 0; i < n; ++i) {
+      u128 c = 0;
+      for (std::size_t j = 0; j < n; ++j) {
+        c += static_cast<u128>(a[j]) * b[i] + t[j];
+        t[j] = static_cast<std::uint64_t>(c);
+        c >>= 64;
+      }
+      c += t[n];
+      t[n] = static_cast<std::uint64_t>(c);
+      t[n + 1] = static_cast<std::uint64_t>(c >> 64);
+      // Add q*m, q chosen so the low limb cancels, and shift down a limb.
+      const std::uint64_t q = t[0] * m_inv;
+      c = (static_cast<u128>(q) * m[0] + t[0]) >> 64;
+      for (std::size_t j = 1; j < n; ++j) {
+        c += static_cast<u128>(q) * m[j] + t[j];
+        t[j - 1] = static_cast<std::uint64_t>(c);
+        c >>= 64;
+      }
+      c += t[n];
+      t[n - 1] = static_cast<std::uint64_t>(c);
+      t[n] = t[n + 1] + static_cast<std::uint64_t>(c >> 64);
+    }
+    // a, b < m gives t < 2m.
+    std::copy_n(t.begin(), n, out.begin());
+    sub_if_ge(out, t[n]);
+  }
+};
+
+}  // namespace
 
 BigUint::BigUint(std::uint64_t v) {
   if (v != 0) limbs_.push_back(v);
@@ -20,23 +87,19 @@ void BigUint::trim() {
 
 BigUint BigUint::from_bytes_be(util::ByteView bytes) {
   BigUint out;
-  for (const std::uint8_t byte : bytes) {
-    out = shl(out, 8);
-    if (byte != 0 || !out.limbs_.empty()) {
-      if (out.limbs_.empty()) out.limbs_.push_back(0);
-      out.limbs_[0] |= byte;
-    }
+  out.limbs_.assign((bytes.size() + 7) / 8, 0);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    const std::size_t k = bytes.size() - 1 - i;  // byte weight: 256^k
+    out.limbs_[k / 8] |= static_cast<std::uint64_t>(bytes[i]) << (8 * (k % 8));
   }
   out.trim();
   return out;
 }
 
 BigUint BigUint::from_hex(std::string_view hex) {
-  util::Bytes digits;
   std::string clean;
   for (const char c : hex) {
-    if (c == ' ' || c == '\n' || c == '\t') continue;
-    clean.push_back(c);
+    if (c != ' ' && c != '\n' && c != '\t') clean.push_back(c);
   }
   if (clean.size() % 2 == 1) clean.insert(clean.begin(), '0');
   const auto bytes = util::hex_decode(clean);
@@ -45,45 +108,31 @@ BigUint BigUint::from_hex(std::string_view hex) {
 }
 
 util::Bytes BigUint::to_bytes_be(std::size_t pad_to) const {
-  util::Bytes out;
-  for (auto it = limbs_.rbegin(); it != limbs_.rend(); ++it) {
-    for (int b = 7; b >= 0; --b) {
-      const auto byte = static_cast<std::uint8_t>(*it >> (8 * b));
-      if (!out.empty() || byte != 0) out.push_back(byte);
-    }
+  const std::size_t used = (bit_length() + 7) / 8;
+  util::Bytes out(std::max(used, pad_to), 0);
+  for (std::size_t k = 0; k < used; ++k) {
+    out[out.size() - 1 - k] = static_cast<std::uint8_t>(limbs_[k / 8] >> (8 * (k % 8)));
   }
-  while (out.size() < pad_to) out.insert(out.begin(), 0);
   return out;
 }
 
 std::string BigUint::to_hex() const {
   if (is_zero()) return "0";
-  std::string s = util::hex_encode(to_bytes_be());
-  const std::size_t nz = s.find_first_not_of('0');
-  return nz == std::string::npos ? "0" : s.substr(nz);
+  const std::string s = util::hex_encode(to_bytes_be());
+  return s.substr(s.find_first_not_of('0'));
 }
 
 std::size_t BigUint::bit_length() const {
   if (limbs_.empty()) return 0;
-  std::size_t bits = (limbs_.size() - 1) * 64;
-  std::uint64_t top = limbs_.back();
-  while (top != 0) {
-    ++bits;
-    top >>= 1;
-  }
-  return bits;
+  return (limbs_.size() - 1) * 64 + static_cast<std::size_t>(std::bit_width(limbs_.back()));
 }
 
 bool BigUint::bit(std::size_t i) const {
-  const std::size_t limb = i / 64;
-  if (limb >= limbs_.size()) return false;
-  return ((limbs_[limb] >> (i % 64)) & 1u) != 0;
+  return i / 64 < limbs_.size() && ((limbs_[i / 64] >> (i % 64)) & 1u) != 0;
 }
 
 int BigUint::compare(const BigUint& a, const BigUint& b) {
-  if (a.limbs_.size() != b.limbs_.size()) {
-    return a.limbs_.size() < b.limbs_.size() ? -1 : 1;
-  }
+  if (a.limbs_.size() != b.limbs_.size()) return a.limbs_.size() < b.limbs_.size() ? -1 : 1;
   for (std::size_t i = a.limbs_.size(); i-- > 0;) {
     if (a.limbs_[i] != b.limbs_[i]) return a.limbs_[i] < b.limbs_[i] ? -1 : 1;
   }
@@ -113,111 +162,59 @@ BigUint BigUint::sub(const BigUint& a, const BigUint& b) {
   std::uint64_t borrow = 0;
   for (std::size_t i = 0; i < a.limbs_.size(); ++i) {
     const std::uint64_t bv = i < b.limbs_.size() ? b.limbs_[i] : 0;
-    const std::uint64_t av = a.limbs_[i];
-    const std::uint64_t diff = av - bv - borrow;
-    borrow = (av < bv + borrow || (bv == ~0ULL && borrow == 1)) ? 1 : 0;
-    out.limbs_[i] = diff;
+    const u128 diff = static_cast<u128>(a.limbs_[i]) - bv - borrow;
+    out.limbs_[i] = static_cast<std::uint64_t>(diff);
+    borrow = static_cast<std::uint64_t>(diff >> 64) & 1;
   }
   out.trim();
   return out;
-}
-
-BigUint BigUint::mul(const BigUint& a, const BigUint& b) {
-  if (a.is_zero() || b.is_zero()) return {};
-  BigUint out;
-  out.limbs_.assign(a.limbs_.size() + b.limbs_.size(), 0);
-  for (std::size_t i = 0; i < a.limbs_.size(); ++i) {
-    u128 carry = 0;
-    for (std::size_t j = 0; j < b.limbs_.size(); ++j) {
-      u128 cur = static_cast<u128>(a.limbs_[i]) * b.limbs_[j] +
-                 out.limbs_[i + j] + carry;
-      out.limbs_[i + j] = static_cast<std::uint64_t>(cur);
-      carry = cur >> 64;
-    }
-    std::size_t k = i + b.limbs_.size();
-    while (carry != 0) {
-      u128 cur = static_cast<u128>(out.limbs_[k]) + carry;
-      out.limbs_[k] = static_cast<std::uint64_t>(cur);
-      carry = cur >> 64;
-      ++k;
-    }
-  }
-  out.trim();
-  return out;
-}
-
-BigUint BigUint::shl(const BigUint& a, std::size_t bits) {
-  if (a.is_zero() || bits == 0) return a;
-  const std::size_t limb_shift = bits / 64;
-  const std::size_t bit_shift = bits % 64;
-  BigUint out;
-  out.limbs_.assign(a.limbs_.size() + limb_shift + 1, 0);
-  for (std::size_t i = 0; i < a.limbs_.size(); ++i) {
-    out.limbs_[i + limb_shift] |= bit_shift == 0 ? a.limbs_[i] : (a.limbs_[i] << bit_shift);
-    if (bit_shift != 0) {
-      out.limbs_[i + limb_shift + 1] |= a.limbs_[i] >> (64 - bit_shift);
-    }
-  }
-  out.trim();
-  return out;
-}
-
-BigUint BigUint::shr(const BigUint& a, std::size_t bits) {
-  const std::size_t limb_shift = bits / 64;
-  if (limb_shift >= a.limbs_.size()) return {};
-  const std::size_t bit_shift = bits % 64;
-  BigUint out;
-  out.limbs_.assign(a.limbs_.size() - limb_shift, 0);
-  for (std::size_t i = 0; i < out.limbs_.size(); ++i) {
-    out.limbs_[i] = bit_shift == 0 ? a.limbs_[i + limb_shift]
-                                   : (a.limbs_[i + limb_shift] >> bit_shift);
-    if (bit_shift != 0 && i + limb_shift + 1 < a.limbs_.size()) {
-      out.limbs_[i] |= a.limbs_[i + limb_shift + 1] << (64 - bit_shift);
-    }
-  }
-  out.trim();
-  return out;
-}
-
-std::pair<BigUint, BigUint> BigUint::divmod(const BigUint& a, const BigUint& b) {
-  ROGUE_ASSERT_MSG(!b.is_zero(), "BigUint division by zero");
-  if (compare(a, b) < 0) return {BigUint{}, a};
-
-  // Bitwise long division; adequate for DH-sized (<= 2048 bit) operands.
-  BigUint quotient;
-  BigUint remainder;
-  const std::size_t nbits = a.bit_length();
-  quotient.limbs_.assign((nbits + 63) / 64, 0);
-  for (std::size_t i = nbits; i-- > 0;) {
-    remainder = shl(remainder, 1);
-    if (a.bit(i)) {
-      if (remainder.limbs_.empty()) remainder.limbs_.push_back(0);
-      remainder.limbs_[0] |= 1;
-    }
-    if (compare(remainder, b) >= 0) {
-      remainder = sub(remainder, b);
-      quotient.limbs_[i / 64] |= (1ULL << (i % 64));
-    }
-  }
-  quotient.trim();
-  remainder.trim();
-  return {quotient, remainder};
-}
-
-BigUint BigUint::mod(const BigUint& a, const BigUint& m) {
-  return divmod(a, m).second;
 }
 
 BigUint BigUint::mod_pow(const BigUint& base, const BigUint& exp, const BigUint& m) {
-  ROGUE_ASSERT_MSG(compare(m, BigUint(1)) > 0, "modulus must be > 1");
-  BigUint result(1);
-  BigUint b = mod(base, m);
-  const std::size_t nbits = exp.bit_length();
-  for (std::size_t i = 0; i < nbits; ++i) {
-    if (exp.bit(i)) result = mod(mul(result, b), m);
-    b = mod(mul(b, b), m);
+  ROGUE_ASSERT_MSG(m.bit(0) && compare(m, BigUint(1)) > 0, "modulus must be odd and > 1");
+  ROGUE_ASSERT_MSG(m.limbs_.size() <= kMaxLimbs, "modulus wider than 1024 bits");
+  ROGUE_ASSERT_MSG(compare(base, m) < 0, "base must be < modulus");
+
+  Montgomery mont;
+  mont.n = m.limbs_.size();
+  std::copy(m.limbs_.begin(), m.limbs_.end(), mont.m.begin());
+  // -m^-1 mod 2^64 by Newton's iteration: m*m = 1 mod 8 for odd m, and
+  // each step doubles the correct low bits (3 -> 6 -> ... -> 96).
+  std::uint64_t inv = mont.m[0];
+  for (int i = 0; i < 5; ++i) inv *= 2 - mont.m[0] * inv;
+  mont.m_inv = 0 - inv;
+  // R mod m: 2^(bits-1) < m, doubled up to 2^(64n).
+  const std::size_t top = m.bit_length() - 1;
+  Limbs r{};
+  r[top / 64] = std::uint64_t{1} << (top % 64);
+  for (std::size_t i = top; i < 64 * mont.n; ++i) mont.double_mod(r);
+  // R^2 mod m is 2^(64n) in Montgomery form. Squaring doubles the exponent,
+  // so double R up to the odd part k of 64n = k * 2^s, then square s times.
+  const int s = std::countr_zero(64 * mont.n);
+  Limbs r2 = r;
+  for (std::size_t i = 0; i < (64 * mont.n) >> s; ++i) mont.double_mod(r2);
+  for (int i = 0; i < s; ++i) mont.mul(r2, r2, r2);
+
+  // table[d] = base^d in Montgomery form, d >= 1.
+  std::array<Limbs, 1u << kWindow> table{};
+  std::copy(base.limbs_.begin(), base.limbs_.end(), table[1].begin());
+  mont.mul(table[1], r2, table[1]);
+  for (std::size_t d = 2; d < table.size(); ++d) mont.mul(table[d - 1], table[1], table[d]);
+
+  // Fixed window, most significant first; acc starts at R, i.e. 1.
+  Limbs acc = r;
+  for (std::size_t w = (exp.bit_length() + kWindow - 1) / kWindow; w-- > 0;) {
+    std::size_t digit = 0;
+    for (std::size_t b = kWindow; b-- > 0;) digit = (digit << 1) | exp.bit(w * kWindow + b);
+    for (std::size_t i = 0; i < kWindow; ++i) mont.mul(acc, acc, acc);
+    if (digit != 0) mont.mul(acc, table[digit], acc);
   }
-  return result;
+  mont.mul(acc, Limbs{1}, acc);  // times plain 1 leaves Montgomery form
+
+  BigUint out;
+  out.limbs_.assign(acc.begin(), acc.begin() + static_cast<std::ptrdiff_t>(mont.n));
+  out.trim();
+  return out;
 }
 
 }  // namespace rogue::crypto

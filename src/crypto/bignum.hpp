@@ -1,8 +1,10 @@
 // Arbitrary-precision unsigned integers, just enough for finite-field
-// Diffie-Hellman: add/sub/compare, schoolbook multiply, shift, divmod,
-// and binary modular exponentiation. Little-endian 64-bit limbs.
+// Diffie-Hellman: add/sub/compare, byte/hex conversion, and modular
+// exponentiation by Montgomery multiplication (CIOS, fixed 5-bit window) over
+// a fixed 16-limb buffer: odd moduli up to 1024 bits. Little-endian 64-bit limbs.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -31,22 +33,14 @@ class BigUint {
 
   [[nodiscard]] static int compare(const BigUint& a, const BigUint& b);
   friend bool operator==(const BigUint& a, const BigUint& b) { return compare(a, b) == 0; }
-  friend bool operator<(const BigUint& a, const BigUint& b) { return compare(a, b) < 0; }
-  friend bool operator<=(const BigUint& a, const BigUint& b) { return compare(a, b) <= 0; }
-  friend bool operator>(const BigUint& a, const BigUint& b) { return compare(a, b) > 0; }
-  friend bool operator>=(const BigUint& a, const BigUint& b) { return compare(a, b) >= 0; }
+  friend std::strong_ordering operator<=>(const BigUint& a, const BigUint& b) {
+    return compare(a, b) <=> 0;
+  }
 
   [[nodiscard]] static BigUint add(const BigUint& a, const BigUint& b);
   /// a - b; requires a >= b.
   [[nodiscard]] static BigUint sub(const BigUint& a, const BigUint& b);
-  [[nodiscard]] static BigUint mul(const BigUint& a, const BigUint& b);
-  [[nodiscard]] static BigUint shl(const BigUint& a, std::size_t bits);
-  [[nodiscard]] static BigUint shr(const BigUint& a, std::size_t bits);
-  /// Returns {quotient, remainder}; b must be non-zero.
-  [[nodiscard]] static std::pair<BigUint, BigUint> divmod(const BigUint& a,
-                                                          const BigUint& b);
-  [[nodiscard]] static BigUint mod(const BigUint& a, const BigUint& m);
-  /// (base ^ exp) mod m via square-and-multiply; m must be > 1.
+  /// (base ^ exp) mod m; m must be odd, 1 < m < 2^1024, and base < m.
   [[nodiscard]] static BigUint mod_pow(const BigUint& base, const BigUint& exp,
                                        const BigUint& m);
 

@@ -1,5 +1,7 @@
 #include "crypto/dh.hpp"
 
+#include "util/assert.hpp"
+
 namespace rogue::crypto {
 
 const DhGroup& DhGroup::modp1024() {
@@ -18,26 +20,28 @@ const DhGroup& DhGroup::modp1024() {
 }
 
 const DhGroup& DhGroup::toy256() {
-  // 256-bit safe-ish prime for unit tests only.
+  // The prime 2^256 - 189, for unit tests only.
   static const DhGroup group{
       BigUint::from_hex(
-          "F5C2E9F3DE2A3D1B4A9C8B7E6F5D4C3B2A190817E6D5C4B3"
-          "A2918073F4E5D6C7"),
+          "FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFF"
+          "FFFFFFFFFFFFFF43"),
       BigUint(5),
       32};
   return group;
 }
 
 DhKeyPair DhKeyPair::generate(const DhGroup& group, util::Prng& rng) {
-  // Secret exponent: byte_len random bytes reduced mod (p - 2), + 2, so it
-  // lies in [2, p-1).
+  // Secret exponent in [2, p-1): byte_len random bytes reduced mod (p - 2),
+  // + 2. A prime with its top bit set exceeds 2^(8 byte_len - 1) + 2 (as
+  // 2^odd + 1 is divisible by 3), so raw < 2(p - 2): one subtraction reduces.
+  ROGUE_ASSERT_MSG(group.p.bit_length() == 8 * group.byte_len, "p must fill byte_len");
   util::Bytes raw(group.byte_len);
   rng.fill(raw);
   const BigUint p_minus_2 = BigUint::sub(group.p, BigUint(2));
-  const BigUint secret =
-      BigUint::add(BigUint::mod(BigUint::from_bytes_be(raw), p_minus_2), BigUint(2));
-  BigUint pub = BigUint::mod_pow(group.g, secret, group.p);
-  return DhKeyPair(group, secret, std::move(pub));
+  BigUint reduced = BigUint::from_bytes_be(raw);
+  if (reduced >= p_minus_2) reduced = BigUint::sub(reduced, p_minus_2);
+  const BigUint secret = BigUint::add(reduced, BigUint(2));
+  return DhKeyPair(group, secret, BigUint::mod_pow(group.g, secret, group.p));
 }
 
 util::Bytes DhKeyPair::public_bytes() const {
@@ -45,7 +49,10 @@ util::Bytes DhKeyPair::public_bytes() const {
 }
 
 util::Bytes DhKeyPair::shared_secret(const BigUint& peer_public) const {
-  if (peer_public <= BigUint(1) || peer_public >= group_->p) return {};
+  // Partial public-key validation (NIST SP 800-56A), 1 < y < p - 1: 0, 1 and
+  // the order-2 element p - 1 would pin the secret to 0 or +-1.
+  const BigUint p_minus_1 = BigUint::sub(group_->p, BigUint(1));
+  if (peer_public <= BigUint(1) || peer_public >= p_minus_1) return {};
   const BigUint shared = BigUint::mod_pow(peer_public, secret_, group_->p);
   return shared.to_bytes_be(group_->byte_len);
 }

@@ -33,7 +33,7 @@ class DhKeyPair {
 
   /// Compute the shared secret with a peer's public value, serialized to
   /// the group's fixed length. Returns empty on invalid peer value
-  /// (0, 1, or >= p — small-subgroup / garbage rejection).
+  /// (0, 1, p - 1, or >= p — small-subgroup / garbage rejection).
   [[nodiscard]] util::Bytes shared_secret(const BigUint& peer_public) const;
   [[nodiscard]] util::Bytes shared_secret_bytes(util::ByteView peer_public) const;
 

@@ -2,6 +2,9 @@
 // property-style round-trip and tamper-detection sweeps.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "crypto/aead.hpp"
 #include "crypto/bignum.hpp"
 #include "crypto/chacha20.hpp"
@@ -372,7 +375,10 @@ TEST(BigUint, BasicArithmetic) {
   const BigUint a(1234567890123456789ULL);
   const BigUint b(987654321ULL);
   EXPECT_EQ(BigUint::add(a, b).to_hex(), "112210f4b8c7e9c6");
-  EXPECT_EQ(BigUint::mul(BigUint(0xffffffffULL), BigUint(0xffffffffULL)).to_hex(),
+  // (2^32 - 1)^2 lies below the prime 2^64 - 59, so squaring mod it is exact.
+  EXPECT_EQ(BigUint::mod_pow(BigUint(0xffffffffULL), BigUint(2),
+                             BigUint(0xffffffffffffffc5ULL))
+                .to_hex(),
             "fffffffe00000001");
   EXPECT_EQ(BigUint::sub(a, b).to_hex(), "112210f4430b1864");
 }
@@ -383,31 +389,135 @@ TEST(BigUint, HexRoundTrip) {
   EXPECT_EQ(BigUint().to_hex(), "0");
 }
 
-TEST(BigUint, CompareAndShift) {
-  const BigUint one(1);
-  EXPECT_EQ(BigUint::shl(one, 127).to_hex(),
-            "80000000000000000000000000000000");
-  EXPECT_EQ(BigUint::shr(BigUint::shl(one, 127), 127), one);
+TEST(BigUint, Compare) {
+  const BigUint two_to_127 = BigUint::from_hex("80000000000000000000000000000000");
+  EXPECT_EQ(two_to_127.bit_length(), 128u);
+  EXPECT_TRUE(two_to_127.bit(127));
   EXPECT_TRUE(BigUint(5) < BigUint(6));
-  EXPECT_TRUE(BigUint::shl(one, 64) > BigUint(~0ULL));
+  EXPECT_TRUE(BigUint::from_hex("10000000000000000") > BigUint(~0ULL));
 }
 
-TEST(BigUint, DivMod) {
-  const BigUint a = BigUint::from_hex("123456789abcdef0123456789abcdef0");
-  const BigUint b = BigUint::from_hex("fedcba987");
-  const auto [q, r] = BigUint::divmod(a, b);
-  EXPECT_EQ(BigUint::add(BigUint::mul(q, b), r), a);
-  EXPECT_TRUE(r < b);
+TEST(BigUint, FromBytesPacksLimbs) {
+  EXPECT_EQ(BigUint::from_bytes_be(util::hex_decode("000000").value()), BigUint());
+  EXPECT_EQ(BigUint::from_bytes_be(util::hex_decode("0001020304050607080910").value())
+                .to_hex(),
+            "1020304050607080910");
+  const std::string hex = std::string(2, '0') + std::string(256, 'a');
+  EXPECT_EQ(BigUint::from_bytes_be(util::hex_decode(hex).value()).to_hex(),
+            std::string(256, 'a'));
 }
 
 TEST(BigUint, ModPowSmallCases) {
-  // 3^4 mod 7 = 4; 2^10 mod 1000 = 24.
+  // 3^4 mod 7 = 4; 2^10 mod 1001 = 23.
   EXPECT_EQ(BigUint::mod_pow(BigUint(3), BigUint(4), BigUint(7)).to_hex(), "4");
-  EXPECT_EQ(BigUint::mod_pow(BigUint(2), BigUint(10), BigUint(1000)).to_hex(), "18");
+  EXPECT_EQ(BigUint::mod_pow(BigUint(2), BigUint(10), BigUint(1001)).to_hex(), "17");
   // Fermat: a^(p-1) mod p == 1 for prime p.
   const BigUint p(1000000007ULL);
   EXPECT_EQ(BigUint::mod_pow(BigUint(123456), BigUint(1000000006ULL), p).to_hex(),
             "1");
+}
+
+TEST(BigUintDeathTest, ModPowRejectsBadOperands) {
+  // Montgomery reduction needs an odd modulus and a reduced base.
+  EXPECT_DEATH((void)BigUint::mod_pow(BigUint(2), BigUint(10), BigUint(1000)), "odd");
+  EXPECT_DEATH((void)BigUint::mod_pow(BigUint(7), BigUint(10), BigUint(7)), "base");
+}
+
+// Test-only reference: left-to-right square-and-multiply where every
+// product is reduced bit by bit (double-and-add, subtract m on overflow),
+// so it shares nothing with the Montgomery kernel but add/sub/compare.
+BigUint ref_mul_mod(const BigUint& a, const BigUint& b, const BigUint& m) {
+  BigUint r;
+  for (std::size_t i = b.bit_length(); i-- > 0;) {
+    r = BigUint::add(r, r);
+    if (r >= m) r = BigUint::sub(r, m);
+    if (b.bit(i)) {
+      r = BigUint::add(r, a);
+      if (r >= m) r = BigUint::sub(r, m);
+    }
+  }
+  return r;
+}
+
+BigUint ref_mod_pow(const BigUint& base, const BigUint& exp, const BigUint& m) {
+  BigUint r(1);
+  for (std::size_t i = exp.bit_length(); i-- > 0;) {
+    r = ref_mul_mod(r, r, m);
+    if (exp.bit(i)) r = ref_mul_mod(r, base, m);
+  }
+  return r;
+}
+
+BigUint random_below(util::Prng& rng, const BigUint& m) {
+  // Same byte length as m, top byte strictly below m's: always < m.
+  Bytes b = m.to_bytes_be();
+  const std::uint8_t top = b[0];
+  rng.fill(b);
+  b[0] = top == 0 ? 0 : static_cast<std::uint8_t>(rng.uniform_u32(top));
+  return BigUint::from_bytes_be(b);
+}
+
+TEST(BigUint, ModPowMatchesReference) {
+  // Moduli of 1-4 limbs; random exponents of 1-2 limbs keep the bitwise
+  // reference affordable in sanitizer builds.
+  util::Prng rng(0xb16);
+  std::vector<BigUint> moduli = {
+      BigUint(3), BigUint(0xffffffffffffffc5ULL),  // 3 and 2^64 - 59
+      BigUint::from_hex("ffffffffffffffff0000000000000001"),
+      BigUint::from_hex("ffffffffffffffff123456789abcdef10fedcba987654321"),
+  };
+  for (int i = 0; i < 150; ++i) {
+    Bytes b(8 * (1 + rng.uniform_u32(4)));
+    rng.fill(b);
+    b.back() |= 1;
+    if (b[0] == 0) b[0] = 1;
+    moduli.push_back(BigUint::from_bytes_be(b));
+  }
+  int cases = 0;
+  for (const BigUint& m : moduli) {
+    const BigUint m_minus_1 = BigUint::sub(m, BigUint(1));
+    std::vector<BigUint> bases = {BigUint(0), BigUint(1), m_minus_1};
+    for (int i = 0; i < 2; ++i) bases.push_back(random_below(rng, m));
+    for (const BigUint& base : bases) {
+      Bytes e(8 * (1 + rng.uniform_u32(2)));
+      rng.fill(e);
+      for (const BigUint& exp : {BigUint(0), BigUint(1), BigUint::from_bytes_be(e)}) {
+        ASSERT_EQ(BigUint::mod_pow(base, exp, m), ref_mod_pow(base, exp, m))
+            << "base=" << base.to_hex() << " exp=" << exp.to_hex()
+            << " m=" << m.to_hex();
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 154 * 5 * 3);
+}
+
+TEST(BigUint, ModPowKnownAnswersModp1024) {
+  // Expected values from Python's built-in pow(2, x, p), an independent
+  // implementation.
+  const BigUint& p = DhGroup::modp1024().p;
+  const BigUint two(2);
+  EXPECT_EQ(BigUint::mod_pow(two, BigUint(1), p).to_hex(), "2");
+  EXPECT_EQ(BigUint::mod_pow(two, BigUint(2), p).to_hex(), "4");
+  EXPECT_EQ(BigUint::mod_pow(two, BigUint::from_hex(std::string(256, 'f')), p).to_hex(),
+            "e8b2d838973757cf8659cd297cd748716b2b57611b3da53126701dbac8b5e1b9"
+            "aacbe7b2c478289a3de42bc26e918de214d04fc520a832b460c5734fb7910f3e"
+            "1caaa9fa69acaf3e24a3442553e93ab1e468089310fac783454bbc59bdbf40be"
+            "64da233ad23182cc0a1c22e89d17e0511512b859e8f31c383dedfb37e4048832");
+  // 2^(p-2) is the inverse of 2, i.e. (p+1)/2.
+  EXPECT_EQ(BigUint::mod_pow(two, BigUint::sub(p, two), p).to_hex(),
+            "7fffffffffffffffe487ed5110b4611a62633145c06e0e68948127044533e63a"
+            "0105df531d89cd9128a5043cc71a026ef7ca8cd9e69d218d98158536f92f8a1b"
+            "a7f09ab6b6a8e122f242dabb312f3f637a262174d31bf6b585ffae5b7a035bf6"
+            "f71c35fdad44cfd2d74f9208be258ff324943328f67329c10000000000000000");
+}
+
+TEST(BigUint, FermatOnDhGroups) {
+  for (const DhGroup* group : {&DhGroup::modp1024(), &DhGroup::toy256()}) {
+    const BigUint& p = group->p;
+    EXPECT_EQ(BigUint::mod_pow(BigUint(2), BigUint::sub(p, BigUint(1)), p), BigUint(1))
+        << p.to_hex();
+  }
 }
 
 TEST(Dh, SharedSecretAgreesToy) {
@@ -430,6 +540,30 @@ TEST(Dh, SharedSecretAgreesModp1024) {
             bob.shared_secret_bytes(alice.public_bytes()));
 }
 
+TEST(Dh, Modp1024BytesPinned) {
+  // Recorded from the earlier bit-serial long-division implementation:
+  // the modexp kernel may change, the DH bytes on the wire may not.
+  util::Prng rng(8);
+  const auto& group = DhGroup::modp1024();
+  const auto alice = DhKeyPair::generate(group, rng);
+  const auto bob = DhKeyPair::generate(group, rng);
+  EXPECT_EQ(hex_encode(alice.public_bytes()),
+            "f4eeac24e518f518b0de6a83b723edbc92657cf6a00ca022a8765688d609fb30"
+            "f4293d29ade4ab110acc022347bab3f147ded90b7f19ba43c25b991567119137"
+            "71fa83c0b2843a69ff539983567b38d487312cd491f17bd54a79644c4f075683"
+            "3b84a70f2b14bc3aa785c847e40eebf9ff88f3d1062ef66cf4265f9ac0261cde");
+  EXPECT_EQ(hex_encode(bob.public_bytes()),
+            "a869156a9933011192e41aef1d21c5efe40ace2509bfee2c25ef3f8e05d64d1b"
+            "31cf53df3e0aa412a538a8956e0c657ddccdf181ec0e07a486b6b198d24140cc"
+            "459f5ab2bb66b805082702c19341e434855dd117c09b08de705cbd9768e44ff7"
+            "f242b09b9fc6a13e83c782ba9f10af3991a85250ae49077a87ab9304186bde76");
+  EXPECT_EQ(hex_encode(alice.shared_secret_bytes(bob.public_bytes())),
+            "4e53b24f603f0509c569b1060e968d77b145d43cef15fc35315d4e2673cd8f06"
+            "21d030f59e3df242e0ea72912fdb094fb100ab2664c385111675ec1e5875514e"
+            "53d66cd8b4dd44ad6dbed779c8a541f41dc2cfb6560dc544b9bd36a5cdf56e7e"
+            "4b06f360505721f6ba88e2b57e41fe84eec1d2e86ee00a5e1918ef3659fd71c5");
+}
+
 TEST(Dh, RejectsDegeneratePublicValues) {
   util::Prng rng(9);
   const auto& group = DhGroup::toy256();
@@ -437,6 +571,16 @@ TEST(Dh, RejectsDegeneratePublicValues) {
   EXPECT_TRUE(kp.shared_secret(BigUint(0)).empty());
   EXPECT_TRUE(kp.shared_secret(BigUint(1)).empty());
   EXPECT_TRUE(kp.shared_secret(group.p).empty());
+  // p - 1 has order 2: accepting it would force the secret to +-1.
+  EXPECT_TRUE(kp.shared_secret(BigUint::sub(group.p, BigUint(1))).empty());
+  EXPECT_EQ(kp.shared_secret(BigUint::sub(group.p, BigUint(2))).size(), group.byte_len);
+
+  const auto& modp = DhGroup::modp1024();
+  const auto big = DhKeyPair::generate(modp, rng);
+  EXPECT_TRUE(big.shared_secret(BigUint::sub(modp.p, BigUint(1))).empty());
+  Bytes oversized(modp.byte_len + 1, 0x5a);  // 129 bytes: >= 2^1024 > p
+  EXPECT_TRUE(big.shared_secret_bytes(oversized).empty());
+  EXPECT_EQ(big.shared_secret(BigUint(2)).size(), modp.byte_len);
 }
 
 // ---- WEP ----------------------------------------------------------------------
