@@ -347,13 +347,10 @@ int main(int argc, char** argv) {
     // copies every radio frame, so it stays out of the sweep proper.
     const runner::Variant& v = variants.front();
     std::unique_ptr<scenario::World> world = v.make(cfg.seed_base);
-    world->enable_frame_capture();
+    obs::PcapWriter pcap;
+    world->capture_frames(pcap);
     world->configure(cfg.seed_base);
     world->run_episode();
-    obs::PcapWriter pcap;
-    for (const sim::CapturedFrame& frame : world->trace().frames()) {
-      pcap.add_frame(frame.time, frame.bytes);
-    }
     if (!pcap.write_file(pcap_path)) {
       std::fprintf(stderr, "cannot write %s\n", pcap_path.c_str());
       return 1;

@@ -5,7 +5,7 @@
 namespace rogue::attack {
 
 RogueGateway::RogueGateway(sim::Simulator& simulator, phy::Medium& medium,
-                           RogueGatewayConfig config, sim::Trace* trace)
+                           RogueGatewayConfig config)
     : sim_(simulator), config_(std::move(config)) {
   // eth1: ordinary managed-mode client of the legitimate network.
   dot11::StationConfig sta_cfg;
@@ -19,7 +19,7 @@ RogueGateway::RogueGateway(sim::Simulator& simulator, phy::Medium& medium,
   sta_cfg.wpa_psk = config_.wpa_psk;
   sta_cfg.auth_algorithm = config_.auth_algorithm;
   sta_cfg.scan_channels = config_.uplink_scan_channels;
-  uplink_ = std::make_unique<dot11::Station>(sim_, medium, sta_cfg, trace);
+  uplink_ = std::make_unique<dot11::Station>(sim_, medium, sta_cfg);
 
   // wlan0: Master mode, cloning SSID / WEP / (typically) the AP MAC.
   dot11::ApConfig ap_cfg;
@@ -34,7 +34,7 @@ RogueGateway::RogueGateway(sim::Simulator& simulator, phy::Medium& medium,
     ap_cfg.eap_client_keys = {{config_.client_mac, config_.wpa_psk}};
   }
   ap_cfg.auth_algorithm = config_.auth_algorithm;
-  ap_ = std::make_unique<dot11::AccessPoint>(sim_, medium, ap_cfg, trace);
+  ap_ = std::make_unique<dot11::AccessPoint>(sim_, medium, ap_cfg);
 
   // The gateway host owning both interfaces.
   host_ = std::make_unique<net::Host>(sim_, "rogue-gateway", config_.tcp);

@@ -21,7 +21,6 @@
 #include "net/host.hpp"
 #include "phy/medium.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 
 namespace rogue::attack {
 
@@ -68,7 +67,7 @@ struct RogueGatewayConfig {
 class RogueGateway final : public Attacker {
  public:
   RogueGateway(sim::Simulator& simulator, phy::Medium& medium,
-               RogueGatewayConfig config, sim::Trace* trace = nullptr);
+               RogueGatewayConfig config);
 
   [[nodiscard]] std::string_view name() const override {
     return "rogue-gateway";

@@ -29,15 +29,11 @@ std::string_view to_string(AlertKind kind) {
 
 void Detector::attach(const DetectorEnv& env) {
   sim_ = env.sim;
-  trace_ = env.trace;
   if (sim_ != nullptr) {
     stat_alerts_ =
         sim_->stats().counter("detect." + std::string(name()) + ".alerts");
     tracer_alert_ = sim_->tracer().name("detect.alert");
     tracer_actor_ = sim_->tracer().actor("detect:" + std::string(name()));
-  }
-  if (trace_ != nullptr) {
-    trace_tag_ = trace_->intern("detect." + std::string(name()));
   }
 }
 
@@ -49,15 +45,9 @@ void Detector::emit(Alert alert) {
     // Runs inside the offending frame's delivery scope, so the alert
     // inherits the attack frame's trace id — chain reconstruction links
     // attacker tx -> monitor rx -> this alert with no extra plumbing.
-    sim_->tracer().instant(tracer_alert_, tracer_actor_,
-                           obs::TraceLayer::kDetect, 0,
-                           static_cast<std::uint64_t>(alert.kind));
-  }
-  if (trace_ != nullptr) {
-    trace_->record(alert.time, trace_tag_,
-                   std::string(to_string(alert.kind)) + " " +
-                       alert.transmitter.to_string() + " " + alert.detail,
-                   sim::Severity::kWarn);
+    sim_->tracer().note(tracer_alert_, tracer_actor_,
+                        obs::TraceLayer::kDetect, /*warning=*/true,
+                        static_cast<std::uint64_t>(alert.kind));
   }
   if (sink_) sink_(alert);
   alerts_.push_back(std::move(alert));

@@ -29,7 +29,6 @@
 #include "obs/stats.hpp"
 #include "phy/medium.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 
 namespace rogue::net {
 class L2Segment;
@@ -77,7 +76,6 @@ struct TrustedAp {
 struct DetectorEnv {
   sim::Simulator* sim = nullptr;
   phy::Medium* medium = nullptr;
-  sim::Trace* trace = nullptr;
   std::vector<phy::Channel> channels;
   phy::Position position{};
   std::vector<TrustedAp> inventory;
@@ -138,8 +136,6 @@ class Detector {
 
  private:
   sim::Simulator* sim_ = nullptr;
-  sim::Trace* trace_ = nullptr;
-  sim::TagId trace_tag_ = 0;
   obs::CounterId stat_alerts_;
   obs::TraceNameId tracer_alert_;
   obs::TraceActorId tracer_actor_;

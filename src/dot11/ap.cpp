@@ -1,19 +1,15 @@
 #include "dot11/ap.hpp"
 
-#include "util/fmt.hpp"
-
 #include "util/assert.hpp"
 #include "util/logging.hpp"
 
 namespace rogue::dot11 {
 
 AccessPoint::AccessPoint(sim::Simulator& simulator, phy::Medium& medium,
-                         ApConfig config, sim::Trace* trace)
+                         ApConfig config)
     : sim_(simulator),
       config_(std::move(config)),
-      radio_(medium, "ap:" + config_.bssid.to_string()),
-      trace_(trace) {
-  if (trace_ != nullptr) trace_tag_ = trace_->intern(radio_.name());
+      radio_(medium, "ap:" + config_.bssid.to_string()) {
   // Back-compat: the legacy privacy flag means WEP.
   if (config_.security == SecurityMode::kOpen && config_.privacy) {
     config_.security = SecurityMode::kWep;
@@ -50,6 +46,8 @@ AccessPoint::AccessPoint(sim::Simulator& simulator, phy::Medium& medium,
   rx_scope_ = sim_.profiler().intern("dot11.ap.rx");
   obs::Tracer& tracer = sim_.tracer();
   trace_auth_ = tracer.name("dot11.auth");
+  trace_auth_ok_ = tracer.name("dot11.ap.auth-ok");
+  trace_auth_reject_ = tracer.name("dot11.ap.auth-reject");
   trace_assoc_ = tracer.name("dot11.assoc");
   trace_assoc_reject_ = tracer.name("dot11.assoc-reject");
   trace_deauth_rx_ = tracer.name("dot11.deauth-rx");
@@ -57,6 +55,10 @@ AccessPoint::AccessPoint(sim::Simulator& simulator, phy::Medium& medium,
   trace_wpa_span_ = tracer.name("dot11.wpa");
   trace_wpa_m2_ = tracer.name("dot11.wpa.m2");
   trace_wpa_m3_ = tracer.name("dot11.wpa.m3");
+  trace_wpa_m1_sent_ = tracer.name("dot11.ap.wpa-m1");
+  trace_wpa_unknown_client_ = tracer.name("dot11.ap.wpa-m2-unknown-client");
+  trace_wpa_bad_mic_ = tracer.name("dot11.ap.wpa-m2-bad-mic");
+  trace_wpa_up_ = tracer.name("dot11.ap.wpa-up");
 }
 
 void AccessPoint::start() {
@@ -106,10 +108,14 @@ std::vector<net::MacAddr> AccessPoint::associated_stations() const {
   return out;
 }
 
-void AccessPoint::trace(std::string_view message, sim::Severity severity) {
-  if (trace_ != nullptr) {
-    trace_->record(sim_.now(), trace_tag_, message, severity);
-  }
+void AccessPoint::note(obs::TraceNameId name, std::uint64_t arg) {
+  sim_.tracer().note(name, radio_.trace_actor(), obs::TraceLayer::kDot11,
+                     /*warning=*/false, arg);
+}
+
+void AccessPoint::warn(obs::TraceNameId name, std::uint64_t arg) {
+  sim_.tracer().note(name, radio_.trace_actor(), obs::TraceLayer::kDot11,
+                     /*warning=*/true, arg);
 }
 
 bool AccessPoint::mac_allowed(net::MacAddr mac) const {
@@ -220,9 +226,7 @@ void AccessPoint::handle_auth(const FrameView& frame) {
     resp.status = code;
     send_mgmt(MgmtSubtype::kAuth, sta, resp.encode());
     ++counters_.auth_rejected;
-    trace(util::format("auth-reject {} status={}", sta.to_string(),
-                       static_cast<int>(code)),
-          sim::Severity::kWarn);
+    warn(trace_auth_reject_, static_cast<std::uint64_t>(code));
   };
 
   // A protected auth frame that failed to decrypt/parse: wrong WEP key.
@@ -252,7 +256,7 @@ void AccessPoint::handle_auth(const FrameView& frame) {
     resp.transaction_seq = 2;
     resp.status = StatusCode::kSuccess;
     send_mgmt(MgmtSubtype::kAuth, sta, resp.encode());
-    trace(util::format("auth-ok {}", sta.to_string()));
+    note(trace_auth_ok_, sta.to_u64());
     return;
   }
 
@@ -289,7 +293,7 @@ void AccessPoint::handle_auth(const FrameView& frame) {
     resp.transaction_seq = 4;
     resp.status = StatusCode::kSuccess;
     send_mgmt(MgmtSubtype::kAuth, sta, resp.encode());
-    trace(util::format("auth-ok {}", sta.to_string()));
+    note(trace_auth_ok_, sta.to_u64());
   }
 }
 
@@ -305,10 +309,8 @@ void AccessPoint::handle_assoc_req(const FrameView& frame) {
       !mac_allowed(sta)) {
     resp.status = StatusCode::kAssocDeniedUnspec;
     ++counters_.assoc_rejected;
-    sim_.tracer().instant(trace_assoc_reject_, radio_.trace_actor(),
-                          obs::TraceLayer::kDot11);
+    warn(trace_assoc_reject_);
     send_mgmt(MgmtSubtype::kAssocResp, sta, resp.encode());
-    trace(util::format("assoc-reject {}", sta.to_string()), sim::Severity::kWarn);
     return;
   }
 
@@ -317,10 +319,8 @@ void AccessPoint::handle_assoc_req(const FrameView& frame) {
   resp.status = StatusCode::kSuccess;
   resp.association_id = aid;
   ++counters_.assoc_ok;
-  sim_.tracer().instant(trace_assoc_, radio_.trace_actor(),
-                        obs::TraceLayer::kDot11, 0, aid);
+  note(trace_assoc_, aid);
   send_mgmt(MgmtSubtype::kAssocResp, sta, resp.encode());
-  trace(util::format("assoc {}", sta.to_string()));
   if (event_handler_) event_handler_("assoc", sta);
   if (config_.security == SecurityMode::kWpaPsk ||
       config_.security == SecurityMode::kEap) {
@@ -336,9 +336,7 @@ void AccessPoint::handle_deauth(const FrameView& frame) {
   sim_.stats().add(stat_deauth_rx_);
   wpa_.erase(sta);
   if (associated_.erase(sta) > 0 || authenticated_.erase(sta) > 0) {
-    sim_.tracer().instant(trace_deauth_rx_, radio_.trace_actor(),
-                          obs::TraceLayer::kDot11);
-    trace(util::format("deauth-rx {}", sta.to_string()), sim::Severity::kWarn);
+    warn(trace_deauth_rx_);
     if (event_handler_) event_handler_("deauth", sta);
   }
 }
@@ -490,7 +488,7 @@ void AccessPoint::start_wpa_handshake(net::MacAddr sta) {
   m1.msg = WpaMsg::kM1;
   m1.nonce = state.anonce;
   send_eapol(sta, m1);
-  trace(util::format("wpa-m1 {}", sta.to_string()));
+  note(trace_wpa_m1_sent_, sta.to_u64());
   schedule_eapol_retry(sta);
 }
 
@@ -536,14 +534,13 @@ void AccessPoint::handle_eapol(net::MacAddr sta, util::ByteView payload) {
     if (!pmk) {
       // kEap: no credential on file for this MAC (or, on a rogue AP,
       // for any client but the attacker's own) — handshake cannot proceed.
-      trace(util::format("wpa-m2-unknown-client {}", sta.to_string()),
-            sim::Severity::kWarn);
+      warn(trace_wpa_unknown_client_, sta.to_u64());
       return;
     }
     const WpaPtk ptk =
         wpa_ptk(*pmk, config_.bssid, sta, state.anonce, hs->nonce);
     if (!hs->verify(ptk.kck)) {
-      trace(util::format("wpa-m2-bad-mic {}", sta.to_string()), sim::Severity::kWarn);
+      warn(trace_wpa_bad_mic_, sta.to_u64());
       return;  // wrong PSK on the station side
     }
     state.ptk = ptk;
@@ -564,7 +561,7 @@ void AccessPoint::handle_eapol(net::MacAddr sta, util::ByteView payload) {
     ++counters_.wpa_handshakes_completed;
     sim_.tracer().end(trace_wpa_span_, radio_.trace_actor(),
                       obs::TraceLayer::kDot11, 0, sta.to_u64());
-    trace(util::format("wpa-up {}", sta.to_string()));
+    note(trace_wpa_up_, sta.to_u64());
     if (event_handler_) event_handler_("wpa-up", sta);
   }
 }
@@ -583,12 +580,9 @@ void AccessPoint::deauth_station(net::MacAddr sta, ReasonCode reason) {
   authenticated_.erase(sta);
   DeauthBody body;
   body.reason = reason;
-  sim_.tracer().instant(trace_deauth_tx_, radio_.trace_actor(),
-                        obs::TraceLayer::kDot11, 0,
-                        static_cast<std::uint64_t>(reason));
+  warn(trace_deauth_tx_, static_cast<std::uint64_t>(reason));
   send_mgmt(MgmtSubtype::kDeauth, sta, body.encode());
   sim_.stats().add(stat_deauth_tx_);
-  trace(util::format("deauth-tx {}", sta.to_string()), sim::Severity::kWarn);
   if (event_handler_) event_handler_("deauth", sta);
 }
 

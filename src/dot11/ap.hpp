@@ -19,7 +19,6 @@
 #include "net/addr.hpp"
 #include "phy/medium.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 
 namespace rogue::dot11 {
 
@@ -72,8 +71,7 @@ class AccessPoint {
   /// Observer for association table changes ("assoc"/"deauth" + MAC).
   using EventHandler = std::function<void(std::string_view event, net::MacAddr sta)>;
 
-  AccessPoint(sim::Simulator& simulator, phy::Medium& medium, ApConfig config,
-              sim::Trace* trace = nullptr);
+  AccessPoint(sim::Simulator& simulator, phy::Medium& medium, ApConfig config);
 
   AccessPoint(const AccessPoint&) = delete;
   AccessPoint& operator=(const AccessPoint&) = delete;
@@ -141,14 +139,14 @@ class AccessPoint {
   /// Encrypt (if privacy) and transmit a from-DS data frame.
   void send_data_frame(net::MacAddr dst, net::MacAddr src, util::ByteView msdu);
   [[nodiscard]] bool mac_allowed(net::MacAddr mac) const;
-  void trace(std::string_view message,
-             sim::Severity severity = sim::Severity::kInfo);
+  /// Count and record one lifecycle event on this AP's tracer track;
+  /// warn() also tallies it as a warning.
+  void note(obs::TraceNameId name, std::uint64_t arg = 0);
+  void warn(obs::TraceNameId name, std::uint64_t arg = 0);
 
   sim::Simulator& sim_;
   ApConfig config_;
   phy::Radio radio_;
-  sim::Trace* trace_ = nullptr;
-  sim::TagId trace_tag_ = 0;
 
   bool running_ = false;
   sim::TimerHandle beacon_timer_;
@@ -179,6 +177,8 @@ class AccessPoint {
   obs::CounterId stat_beacons_;
   obs::Profiler::ScopeId rx_scope_;
   obs::TraceNameId trace_auth_;
+  obs::TraceNameId trace_auth_ok_;
+  obs::TraceNameId trace_auth_reject_;
   obs::TraceNameId trace_assoc_;
   obs::TraceNameId trace_assoc_reject_;
   obs::TraceNameId trace_deauth_rx_;
@@ -186,6 +186,10 @@ class AccessPoint {
   obs::TraceNameId trace_wpa_span_;
   obs::TraceNameId trace_wpa_m2_;
   obs::TraceNameId trace_wpa_m3_;
+  obs::TraceNameId trace_wpa_m1_sent_;
+  obs::TraceNameId trace_wpa_unknown_client_;
+  obs::TraceNameId trace_wpa_bad_mic_;
+  obs::TraceNameId trace_wpa_up_;
 };
 
 }  // namespace rogue::dot11

@@ -1,18 +1,14 @@
 #include "dot11/sta.hpp"
 
-#include "util/fmt.hpp"
-
 #include "util/assert.hpp"
 
 namespace rogue::dot11 {
 
 Station::Station(sim::Simulator& simulator, phy::Medium& medium,
-                 StationConfig config, sim::Trace* trace)
+                 StationConfig config)
     : sim_(simulator),
       config_(std::move(config)),
-      radio_(medium, "sta:" + config_.mac.to_string()),
-      trace_(trace) {
-  if (trace_ != nullptr) trace_tag_ = trace_->intern(radio_.name());
+      radio_(medium, "sta:" + config_.mac.to_string()) {
   if (config_.security == SecurityMode::kOpen && config_.use_wep) {
     config_.security = SecurityMode::kWep;
   }
@@ -46,6 +42,12 @@ Station::Station(sim::Simulator& simulator, phy::Medium& medium,
   trace_deauth_rx_ = tracer.name("dot11.deauth-rx");
   trace_wpa_m1_ = tracer.name("dot11.wpa.m1");
   trace_wpa_up_ = tracer.name("dot11.wpa-up");
+  trace_scan_empty_ = tracer.name("dot11.sta.scan-empty");
+  trace_join_ = tracer.name("dot11.sta.join");
+  trace_join_failed_ = tracer.name("dot11.sta.join-failed");
+  trace_auth_rejected_ = tracer.name("dot11.sta.auth-rejected");
+  trace_assoc_rejected_ = tracer.name("dot11.sta.assoc-rejected");
+  trace_wpa_bad_mic_ = tracer.name("dot11.sta.wpa-m3-bad-mic");
 }
 
 void Station::start() {
@@ -64,10 +66,14 @@ void Station::stop() {
   state_ = StationState::kIdle;
 }
 
-void Station::trace(std::string_view message, sim::Severity severity) {
-  if (trace_ != nullptr) {
-    trace_->record(sim_.now(), trace_tag_, message, severity);
-  }
+void Station::note(obs::TraceNameId name, std::uint64_t arg) {
+  sim_.tracer().note(name, radio_.trace_actor(), obs::TraceLayer::kDot11,
+                     /*warning=*/false, arg);
+}
+
+void Station::warn(obs::TraceNameId name, std::uint64_t arg) {
+  sim_.tracer().note(name, radio_.trace_actor(), obs::TraceLayer::kDot11,
+                     /*warning=*/true, arg);
 }
 
 void Station::transmit_frame(const Frame& frame) {
@@ -105,9 +111,7 @@ void Station::begin_scan() {
   sim_.stats().add(stat_scans_);
   scan_results_.clear();
   scan_channel_index_ = 0;
-  sim_.tracer().instant(trace_scan_, radio_.trace_actor(),
-                        obs::TraceLayer::kDot11);
-  trace("scan-start", sim::Severity::kDebug);
+  note(trace_scan_);
   radio_.set_channel(config_.scan_channels[0]);
   scan_timer_ = sim_.after(config_.scan_dwell, [this] { scan_next_channel(); });
 }
@@ -126,7 +130,7 @@ void Station::scan_next_channel() {
 void Station::finish_scan() {
   const auto candidate = pick_candidate();
   if (!candidate) {
-    trace("scan-empty", sim::Severity::kDebug);
+    note(trace_scan_empty_);
     scan_timer_ = sim_.after(next_rescan_delay(), [this] { begin_scan(); });
     return;
   }
@@ -182,8 +186,7 @@ void Station::begin_join(const BssInfo& bss) {
   current_bss_ = bss;
   join_retries_ = 0;
   radio_.set_channel(bss.channel);
-  trace(util::format("join {} ch={} rssi={}", bss.bssid.to_string(),
-                     static_cast<int>(bss.channel), bss.rssi_dbm));
+  note(trace_join_, bss.bssid.to_u64());
   send_auth_request();
 }
 
@@ -218,7 +221,7 @@ void Station::on_join_timeout() {
     send_auth_request();
     return;
   }
-  trace("join-failed", sim::Severity::kWarn);
+  warn(trace_join_failed_);
   scan_timer_ = sim_.after(next_rescan_delay(), [this] { begin_scan(); });
   state_ = StationState::kScanning;
 }
@@ -237,10 +240,7 @@ void Station::become_associated() {
   last_beacon_time_ = sim_.now();
   arm_beacon_watchdog();
   if (wpa_like()) arm_wpa_watchdog();
-  sim_.tracer().instant(trace_associated_, radio_.trace_actor(),
-                        obs::TraceLayer::kDot11, 0,
-                        current_bss_.bssid.to_u64());
-  trace(util::format("associated {}", current_bss_.bssid.to_string()));
+  note(trace_associated_, current_bss_.bssid.to_u64());
   if (event_handler_) event_handler_("assoc", current_bss_);
 }
 
@@ -254,17 +254,15 @@ void Station::arm_wpa_watchdog() {
     bss_blocklist_[{current_bss_.bssid, current_bss_.channel}] =
         sim_.now() + config_.bss_blocklist_duration;
     if (event_handler_) event_handler_("wpa-timeout", current_bss_);
-    disconnect("wpa-timeout");
+    disconnect();
   });
 }
 
-void Station::disconnect(std::string_view why) {
+void Station::disconnect() {
   sim_.cancel(beacon_watchdog_);
   sim_.cancel(join_timer_);
   sim_.cancel(wpa_watchdog_);
-  sim_.tracer().instant(trace_disconnect_, radio_.trace_actor(),
-                        obs::TraceLayer::kDot11);
-  trace(util::format("disconnect ({})", why), sim::Severity::kWarn);
+  warn(trace_disconnect_);
   state_ = StationState::kIdle;
   if (running_) {
     scan_timer_ = sim_.after(next_rescan_delay(), [this] { begin_scan(); });
@@ -279,7 +277,7 @@ void Station::arm_beacon_watchdog() {
     if (state_ != StationState::kAssociated) return;
     ++counters_.beacon_losses;
     if (event_handler_) event_handler_("beacon-loss", current_bss_);
-    disconnect("beacon-loss");
+    disconnect();
   });
 }
 
@@ -344,7 +342,7 @@ void Station::handle_auth_resp(const FrameView& frame) {
   if (!auth) return;
 
   if (auth->status != StatusCode::kSuccess) {
-    trace("auth-rejected", sim::Severity::kWarn);
+    warn(trace_auth_rejected_);
     on_join_timeout();
     return;
   }
@@ -374,7 +372,7 @@ void Station::handle_assoc_resp(const FrameView& frame) {
   const auto resp = AssocRespBody::decode(frame.body);
   if (!resp) return;
   if (resp->status != StatusCode::kSuccess) {
-    trace("assoc-rejected", sim::Severity::kWarn);
+    warn(trace_assoc_rejected_);
     on_join_timeout();
     return;
   }
@@ -391,7 +389,7 @@ void Station::handle_deauth(const FrameView& frame) {
   sim_.tracer().instant(trace_deauth_rx_, radio_.trace_actor(),
                         obs::TraceLayer::kDot11);
   if (event_handler_) event_handler_("deauth", current_bss_);
-  disconnect("deauth");
+  disconnect();
 }
 
 void Station::handle_data(const FrameView& frame) {
@@ -525,7 +523,7 @@ void Station::handle_eapol(util::ByteView payload) {
   }
   if (hs->msg == WpaMsg::kM3) {
     if (ptk_.kck.empty() || !hs->verify(ptk_.kck)) {
-      trace("wpa-m3-bad-mic", sim::Severity::kWarn);  // wrong PSK on the AP side: abort
+      warn(trace_wpa_bad_mic_);  // wrong PSK on the AP side: abort
       return;
     }
     const auto gtk = crypto::aead_open(ptk_.aead_key, /*seq=*/0,
@@ -538,9 +536,7 @@ void Station::handle_eapol(util::ByteView payload) {
     send_eapol(m4);
     wpa_established_ = true;
     sim_.cancel(wpa_watchdog_);
-    sim_.tracer().instant(trace_wpa_up_, radio_.trace_actor(),
-                          obs::TraceLayer::kDot11);
-    trace("wpa-up");
+    note(trace_wpa_up_);
     if (event_handler_) event_handler_("wpa-up", current_bss_);
   }
 }

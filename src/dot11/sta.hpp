@@ -18,7 +18,6 @@
 #include "net/addr.hpp"
 #include "phy/medium.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 
 namespace rogue::dot11 {
 
@@ -97,8 +96,7 @@ class Station {
   /// Association lifecycle observer: "assoc"/"deauth"/"beacon-loss".
   using EventHandler = std::function<void(std::string_view event, const BssInfo& bss)>;
 
-  Station(sim::Simulator& simulator, phy::Medium& medium, StationConfig config,
-          sim::Trace* trace = nullptr);
+  Station(sim::Simulator& simulator, phy::Medium& medium, StationConfig config);
 
   Station(const Station&) = delete;
   Station& operator=(const Station&) = delete;
@@ -151,7 +149,7 @@ class Station {
   void send_assoc_request();
   void on_join_timeout();
   void become_associated();
-  void disconnect(std::string_view why);
+  void disconnect();
   /// Next rescan delay under exponential backoff + jitter; bumps the
   /// failed-cycle count.
   [[nodiscard]] sim::Time next_rescan_delay();
@@ -160,14 +158,14 @@ class Station {
                  bool protect = false);
   /// Serialize into a pooled buffer and hand it to the radio.
   void transmit_frame(const Frame& frame);
-  void trace(std::string_view message,
-             sim::Severity severity = sim::Severity::kInfo);
+  /// Count and record one lifecycle event on this station's tracer track;
+  /// warn() also tallies it as a warning.
+  void note(obs::TraceNameId name, std::uint64_t arg = 0);
+  void warn(obs::TraceNameId name, std::uint64_t arg = 0);
 
   sim::Simulator& sim_;
   StationConfig config_;
   phy::Radio radio_;
-  sim::Trace* trace_ = nullptr;
-  sim::TagId trace_tag_ = 0;
 
   StationState state_ = StationState::kIdle;
   bool running_ = false;
@@ -224,6 +222,12 @@ class Station {
   obs::TraceNameId trace_deauth_rx_;
   obs::TraceNameId trace_wpa_m1_;
   obs::TraceNameId trace_wpa_up_;
+  obs::TraceNameId trace_scan_empty_;
+  obs::TraceNameId trace_join_;
+  obs::TraceNameId trace_join_failed_;
+  obs::TraceNameId trace_auth_rejected_;
+  obs::TraceNameId trace_assoc_rejected_;
+  obs::TraceNameId trace_wpa_bad_mic_;
 };
 
 }  // namespace rogue::dot11

@@ -1,5 +1,5 @@
 // Host wall-time profiler for the simulation hot path. Components intern a
-// scope name once (mirroring their trace tag) and wrap their handlers in an
+// scope name once (mirroring their tracer names) and wrap their handlers in an
 // RAII Scope; the profiler attributes elapsed host time to the innermost
 // open scope (self time) and to every enclosing scope (total time), and
 // counts entries per scope — event counts per tag, for free.

@@ -111,6 +111,8 @@ void Tracer::reset() {
   count_ = 0;
   dropped_ = 0;
   recorded_ = 0;
+  notes_ = 0;
+  warnings_ = 0;
   current_ = 0;
   frames_ = 0;
 }

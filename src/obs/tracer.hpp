@@ -164,13 +164,27 @@ class Tracer {
     record(TracePhase::kEnd, trace_id, name, actor, layer, arg);
   }
 
+  /// A notable lifecycle event (association, rejection, disconnect,
+  /// detector alert): counted whether or not the ring is enabled — the
+  /// counts feed the report's trace_records/trace_warnings — then recorded
+  /// as an instant.
+  void note(TraceNameId name, TraceActorId actor, TraceLayer layer,
+            bool warning = false, std::uint64_t arg = 0) {
+    ++notes_;
+    if (warning) ++warnings_;
+    instant(name, actor, layer, 0, arg);
+  }
+
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
   [[nodiscard]] std::uint64_t recorded() const { return recorded_; }
+  [[nodiscard]] std::uint64_t notes() const { return notes_; }
+  [[nodiscard]] std::uint64_t warnings() const { return warnings_; }
 
   /// Ring contents in eviction order plus intern tables.
   [[nodiscard]] TracerDump dump() const;
 
-  /// Drop ring contents and counters (intern tables and seed survive).
+  /// Drop ring contents and counters, note tallies included (intern tables
+  /// and seed survive).
   void reset();
 
  private:
@@ -203,6 +217,8 @@ class Tracer {
   std::size_t count_ = 0;  ///< live records (<= ring_.size())
   std::uint64_t dropped_ = 0;
   std::uint64_t recorded_ = 0;
+  std::uint64_t notes_ = 0;     ///< note() calls, ring on or off
+  std::uint64_t warnings_ = 0;  ///< note() calls flagged as warnings
   std::vector<std::string> names_;
   std::vector<std::string> actors_;
   std::unordered_map<std::string, std::uint32_t> name_index_;

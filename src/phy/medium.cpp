@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sim/trace.hpp"
 #include "util/assert.hpp"
 
 namespace rogue::phy {
@@ -516,7 +515,7 @@ double Medium::pair_rssi(const Radio& tx, const Radio& rx) {
 void Medium::transmit(Radio& sender, util::Bytes frame) {
   ++tx_count_;
   sim_.stats().observe(stat_frame_bytes_, frame.size());
-  if (capture_ != nullptr) capture_->capture_frame(sim_.now(), frame);
+  if (pcap_ != nullptr) pcap_->add_frame(sim_.now(), frame);
   const sim::Time end = sim_.now() + airtime(frame.size());
   const std::uint64_t id = next_tx_id_++;
 

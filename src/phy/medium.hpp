@@ -27,13 +27,10 @@
 #include <utility>
 #include <vector>
 
+#include "obs/pcap.hpp"
 #include "sim/simulator.hpp"
 #include "util/bytes.hpp"
 #include "util/flat_map.hpp"
-
-namespace rogue::sim {
-class Trace;
-}  // namespace rogue::sim
 
 namespace rogue::phy {
 
@@ -301,10 +298,9 @@ class Medium {
     return static_cast<double>(jitter_max_us_) / 1000.0;
   }
 
-  /// Mirror every frame put on the air into `trace` (verbatim bytes +
-  /// simulated timestamp) for pcap export. nullptr detaches the tap; the
-  /// trace must also have frame capture enabled to retain anything.
-  void set_capture(sim::Trace* trace) { capture_ = trace; }
+  /// Append every frame put on the air to `writer` (verbatim bytes +
+  /// simulated timestamp) for pcap export; nullptr detaches the tap.
+  void set_pcap(obs::PcapWriter* writer) { pcap_ = writer; }
 
  private:
   friend class Radio;
@@ -440,7 +436,7 @@ class Medium {
   /// its next probe (same observable miss pattern as clearing one global
   /// pair cache eagerly, without the world-sized sweep per detach).
   std::uint64_t cache_generation_ = 1;
-  sim::Trace* capture_ = nullptr;
+  obs::PcapWriter* pcap_ = nullptr;
 
   // Hot-path tallies stay plain members (an increment is one add, no
   // registry indirection); flush_stats() publishes them at snapshot time.

@@ -52,10 +52,6 @@ void CorpWorld::configure(std::uint64_t seed) {
 void CorpWorld::start() {
   if (started_) return;
   started_ = true;
-  if (capture_frames_) {
-    trace_.enable_frame_capture(true);
-    medium_.set_capture(&trace_);
-  }
   build_wired();
   build_wireless();
 }
@@ -160,7 +156,7 @@ void CorpWorld::build_wireless() {
   ap_cfg.auth_algorithm = config_.auth_algorithm;
   ap_cfg.mac_filtering = config_.mac_filtering;
   ap_cfg.allowed_macs = {kVictimMac, kStaffMac};
-  legit_ap_ = std::make_unique<dot11::AccessPoint>(sim_, medium_, ap_cfg, &trace_);
+  legit_ap_ = std::make_unique<dot11::AccessPoint>(sim_, medium_, ap_cfg);
   legit_ap_->radio().set_position({config_.victim_to_legit_m, 0.0});
   ap_bridge_ = std::make_unique<net::ApBridge>(*legit_ap_, corp_lan_, "legit-ap-uplink");
   legit_ap_->start();
@@ -180,7 +176,7 @@ void CorpWorld::build_wireless() {
   sta_cfg.auth_algorithm = config_.auth_algorithm;
   sta_cfg.join_policy = config_.victim_join_policy;
   sta_cfg.scan_channels = {config_.legit_channel, config_.rogue_channel};
-  victim_sta_ = std::make_unique<dot11::Station>(sim_, medium_, sta_cfg, &trace_);
+  victim_sta_ = std::make_unique<dot11::Station>(sim_, medium_, sta_cfg);
   victim_sta_->radio().set_position({0.0, 0.0});
 
   victim_ = std::make_unique<net::Host>(sim_, "victim", config_.tcp);
@@ -247,7 +243,7 @@ attack::RogueGateway& CorpWorld::deploy_rogue() {
         apps::NetsedRule::from_strings(release_md5(), trojan_md5()));
   }
 
-  rogue_ = std::make_unique<attack::RogueGateway>(sim_, medium_, cfg, &trace_);
+  rogue_ = std::make_unique<attack::RogueGateway>(sim_, medium_, cfg);
   rogue_->uplink().radio().set_position({config_.victim_to_rogue_m, 2.0});
   rogue_->ap().radio().set_position({config_.victim_to_rogue_m, 0.0});
   rogue_->start();
@@ -347,7 +343,6 @@ detect::DetectorEnv CorpWorld::detector_env() {
   detect::DetectorEnv env;
   env.sim = &sim_;
   env.medium = &medium_;
-  env.trace = &trace_;
   // The World's channel plan — the corporate channel plus wherever a
   // rogue could park — not a hard-coded channel 1.
   env.channels = {config_.legit_channel};
@@ -375,7 +370,6 @@ attack::AttackerEnv CorpWorld::attacker_env() {
   attack::AttackerEnv env;
   env.sim = &sim_;
   env.medium = &medium_;
-  env.trace = &trace_;
   env.ssid = "CORP";
   env.legit_bssid = kLegitBssid;
   env.victim_mac = kVictimMac;
@@ -509,8 +503,8 @@ Metrics CorpWorld::collect_metrics() const {
   Metrics m;
   m.sim_time_s = static_cast<double>(sim_.now()) / kUsPerSecond;
   m.events_fired = sim_.events_fired();
-  m.trace_records = trace_.size();
-  m.trace_warnings = trace_.count_at_least(sim::Severity::kWarn);
+  m.trace_records = sim_.tracer().notes();
+  m.trace_warnings = sim_.tracer().warnings();
   m.stats = sim_.stats_snapshot();
 
   m.victim_captured = capture_time_.has_value();

@@ -38,7 +38,6 @@
 #include "phy/medium.hpp"
 #include "scenario/world.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 #include "vpn/client.hpp"
 #include "vpn/endpoint.hpp"
 
@@ -157,7 +156,6 @@ class CorpWorld final : public World, private faults::FaultTarget {
   void run_episode() override;
   [[nodiscard]] Metrics collect_metrics() const override;
   [[nodiscard]] sim::Simulator& simulator() override { return sim_; }
-  [[nodiscard]] sim::Trace& trace() override { return trace_; }
 
   [[nodiscard]] sim::Simulator& sim() { return sim_; }
   [[nodiscard]] phy::Medium& medium() { return medium_; }
@@ -167,9 +165,9 @@ class CorpWorld final : public World, private faults::FaultTarget {
   /// Bring up the wired network, legit AP, web site, VPN endpoint, victim.
   void start() override;
 
-  /// Record every radio frame into the trace (pcap export). Call before
-  /// start().
-  void enable_frame_capture() override { capture_frames_ = true; }
+  void capture_frames(obs::PcapWriter& pcap) override {
+    medium_.set_pcap(&pcap);
+  }
 
   /// Figure 1: stand up the rogue gateway (cloned SSID/WEP/BSSID, proxy
   /// ARP bridge, DNAT + netsed + trojan mirror).
@@ -267,7 +265,6 @@ class CorpWorld final : public World, private faults::FaultTarget {
   CorpConfig config_;
   CorpAddresses addr_;
   sim::Simulator sim_;
-  sim::Trace trace_;
   phy::Medium medium_;
   net::Switch corp_lan_;
   net::Switch internet_;
@@ -299,7 +296,6 @@ class CorpWorld final : public World, private faults::FaultTarget {
   TunnelHealth health_;
 
   bool started_ = false;
-  bool capture_frames_ = false;
 
   // Episode observations, filled in as the scenario unfolds and read by
   // collect_metrics(). "-1 cast to Time" is avoided by optionals.

@@ -38,17 +38,13 @@ std::string HotspotWorld::trojan_md5() const { return crypto::md5_hex(trojan_); 
 void HotspotWorld::start() {
   if (started_) return;
   started_ = true;
-  if (capture_frames_) {
-    trace_.enable_frame_capture(true);
-    medium_.set_capture(&trace_);
-  }
 
   // Open hotspot AP (public hotspots of the era ran no WEP).
   dot11::ApConfig ap_cfg;
   ap_cfg.ssid = "HOTSPOT";
   ap_cfg.bssid = kHotspotBssid;
   ap_cfg.channel = 6;
-  ap_ = std::make_unique<dot11::AccessPoint>(sim_, medium_, ap_cfg, &trace_);
+  ap_ = std::make_unique<dot11::AccessPoint>(sim_, medium_, ap_cfg);
   ap_->radio().set_position({5.0, 0.0});
 
   // Hotspot gateway: NAT between the hotspot LAN and the internet.
@@ -117,7 +113,7 @@ void HotspotWorld::start() {
   sta.mac = kClientMac;
   sta.target_ssid = "HOTSPOT";
   sta.scan_channels = {6};
-  client_sta_ = std::make_unique<dot11::Station>(sim_, medium_, sta, &trace_);
+  client_sta_ = std::make_unique<dot11::Station>(sim_, medium_, sta);
   client_sta_->radio().set_position({0.0, 0.0});
   client_sta_->set_event_handler(
       [this](std::string_view event, const dot11::BssInfo&) {
@@ -168,7 +164,6 @@ detect::DetectorEnv HotspotWorld::detector_env() {
   detect::DetectorEnv env;
   env.sim = &sim_;
   env.medium = &medium_;
-  env.trace = &trace_;
   env.channels = {6};
   // Near the AP: a hotspot operator audits from its own rack, which keeps
   // the RSSI baseline tight.
@@ -187,7 +182,6 @@ attack::AttackerEnv HotspotWorld::attacker_env() {
   attack::AttackerEnv env;
   env.sim = &sim_;
   env.medium = &medium_;
-  env.trace = &trace_;
   env.ssid = "HOTSPOT";
   env.legit_bssid = kHotspotBssid;
   env.victim_mac = kClientMac;
@@ -340,8 +334,8 @@ Metrics HotspotWorld::collect_metrics() const {
   Metrics m;
   m.sim_time_s = static_cast<double>(sim_.now()) / kUsPerSecond;
   m.events_fired = sim_.events_fired();
-  m.trace_records = trace_.size();
-  m.trace_warnings = trace_.count_at_least(sim::Severity::kWarn);
+  m.trace_records = sim_.tracer().notes();
+  m.trace_warnings = sim_.tracer().warnings();
   m.stats = sim_.stats_snapshot();
 
   // "Captured" here means attached to attacker-run infrastructure: in the

@@ -25,7 +25,6 @@
 #include "phy/medium.hpp"
 #include "scenario/world.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 #include "vpn/client.hpp"
 #include "vpn/endpoint.hpp"
 
@@ -81,7 +80,6 @@ class HotspotWorld final : public World, private faults::FaultTarget {
   void run_episode() override;
   [[nodiscard]] Metrics collect_metrics() const override;
   [[nodiscard]] sim::Simulator& simulator() override { return sim_; }
-  [[nodiscard]] sim::Trace& trace() override { return trace_; }
 
   [[nodiscard]] sim::Simulator& sim() { return sim_; }
   [[nodiscard]] const HotspotAddresses& addr() const { return addr_; }
@@ -89,9 +87,9 @@ class HotspotWorld final : public World, private faults::FaultTarget {
 
   void start() override;
 
-  /// Record every radio frame into the trace (pcap export). Call before
-  /// start().
-  void enable_frame_capture() override { capture_frames_ = true; }
+  void capture_frames(obs::PcapWriter& pcap) override {
+    medium_.set_pcap(&pcap);
+  }
 
   /// Chaos: generate the seed-derived fault plan over the episode windows
   /// and schedule it. Called by run_episode() when inject_faults is set.
@@ -139,7 +137,6 @@ class HotspotWorld final : public World, private faults::FaultTarget {
   HotspotConfig config_;
   HotspotAddresses addr_;
   sim::Simulator sim_;
-  sim::Trace trace_;
   phy::Medium medium_;
   net::Switch internet_;
 
@@ -168,7 +165,6 @@ class HotspotWorld final : public World, private faults::FaultTarget {
   TunnelHealth health_;
 
   bool started_ = false;
-  bool capture_frames_ = false;
 
   // Episode observations for collect_metrics().
   std::optional<sim::Time> wids_attack_start_;

@@ -49,10 +49,6 @@ void MetroWorld::configure(std::uint64_t seed) {
 void MetroWorld::start() {
   if (started_) return;
   started_ = true;
-  if (capture_frames_) {
-    trace_.enable_frame_capture(true);
-    medium_.set_capture(&trace_);
-  }
   layout_rng_ = sim_.derive_rng("metro.layout");
   build_aps();
   build_stas();
@@ -386,7 +382,8 @@ Metrics MetroWorld::collect_metrics() const {
   }
   m.sim_time_s = static_cast<double>(sim_.now()) / 1e6;
   m.events_fired = sim_.events_fired();
-  m.trace_records = trace_.size();
+  m.trace_records = sim_.tracer().notes();
+  m.trace_warnings = sim_.tracer().warnings();
   m.stats = sim_.stats_snapshot();
   return m;
 }

@@ -35,7 +35,6 @@
 #include "phy/medium.hpp"
 #include "scenario/world.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 #include "util/prng.hpp"
 #include "util/stats.hpp"
 
@@ -92,8 +91,9 @@ class MetroWorld final : public World {
   void run_episode() override;
   [[nodiscard]] Metrics collect_metrics() const override;
   [[nodiscard]] sim::Simulator& simulator() override { return sim_; }
-  [[nodiscard]] sim::Trace& trace() override { return trace_; }
-  void enable_frame_capture() override { capture_frames_ = true; }
+  void capture_frames(obs::PcapWriter& pcap) override {
+    medium_.set_pcap(&pcap);
+  }
 
   [[nodiscard]] const MetroConfig& config() const { return config_; }
   [[nodiscard]] phy::Medium& medium() { return medium_; }
@@ -164,7 +164,6 @@ class MetroWorld final : public World {
 
   MetroConfig config_;
   sim::Simulator sim_;
-  sim::Trace trace_;
   phy::Medium medium_;
 
   std::vector<std::unique_ptr<dot11::AccessPoint>> aps_;
@@ -176,7 +175,6 @@ class MetroWorld final : public World {
   double world_h_m_ = 0.0;
 
   bool started_ = false;
-  bool capture_frames_ = false;
 
   // Episode observations.
   std::uint64_t associations_ = 0;        ///< successful (re)associations

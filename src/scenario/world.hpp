@@ -16,9 +16,9 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/pcap.hpp"
 #include "obs/stats.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 #include "util/stats.hpp"
 
 namespace rogue::scenario {
@@ -110,8 +110,8 @@ struct Metrics {
 
   // Event-kernel counters (engineering health of the replica).
   std::uint64_t events_fired = 0;
-  std::uint64_t trace_records = 0;
-  std::uint64_t trace_warnings = 0;  ///< records at Severity >= kWarn
+  std::uint64_t trace_records = 0;   ///< obs::Tracer::notes()
+  std::uint64_t trace_warnings = 0;  ///< obs::Tracer::warnings()
   double sim_time_s = 0.0;
 
   /// Full layer-counter snapshot (phy/dot11/net/vpn/sim.*), deterministic
@@ -184,10 +184,10 @@ class World {
   /// Bring the testbed up (idempotent).
   virtual void start() = 0;
 
-  /// Ask the world to record every radio frame into its Trace (pcap
-  /// export). Must be called before start(); worlds without a radio may
-  /// ignore it. Off by default — capture copies every frame.
-  virtual void enable_frame_capture() {}
+  /// Append every radio frame put on the air to `pcap` (the writer must
+  /// outlive the run). Call before start(); worlds without a radio ignore
+  /// it. Off by default — capture copies every frame.
+  virtual void capture_frames(obs::PcapWriter& /*pcap*/) {}
 
   /// Drive the simulation forward by `duration` of simulated time.
   virtual void run_for(sim::Time duration) = 0;
@@ -208,7 +208,6 @@ class World {
   virtual bool attach_attacker(std::string_view /*name*/) { return false; }
 
   [[nodiscard]] virtual sim::Simulator& simulator() = 0;
-  [[nodiscard]] virtual sim::Trace& trace() = 0;
 
   /// Snapshot the episode's observations. Valid any time after start();
   /// normally read once run_episode() returns.

@@ -91,6 +91,7 @@ class Simulator {
   /// deterministic as every other observable; enabling it never changes
   /// simulation behaviour.
   [[nodiscard]] obs::Tracer& tracer() { return tracer_; }
+  [[nodiscard]] const obs::Tracer& tracer() const { return tracer_; }
   /// Registry snapshot merged with the kernel's own instruments: event
   /// heap depth/cancels and the buffer pool's hit/miss/high-water counts.
   [[nodiscard]] obs::StatsSnapshot stats_snapshot() const;

@@ -140,7 +140,6 @@ TEST(Llc, RejectsNonSnap) {
 struct WirelessFixture {
   sim::Simulator sim{7};
   phy::Medium medium{sim};
-  sim::Trace trace;
 
   ApConfig ap_config() {
     ApConfig cfg;
@@ -160,8 +159,8 @@ struct WirelessFixture {
 
 TEST(ApSta, OpenAssociation) {
   WirelessFixture w;
-  AccessPoint ap(w.sim, w.medium, w.ap_config(), &w.trace);
-  Station sta(w.sim, w.medium, w.sta_config(), &w.trace);
+  AccessPoint ap(w.sim, w.medium, w.ap_config());
+  Station sta(w.sim, w.medium, w.sta_config());
   ap.radio().set_position({3, 0});
 
   ap.start();
@@ -338,8 +337,8 @@ TEST(ApSta, MacFilteringDefeatedBySpoofing) {
 
 TEST(ApSta, DeauthFromApDisconnectsAndRescans) {
   WirelessFixture w;
-  AccessPoint ap(w.sim, w.medium, w.ap_config(), &w.trace);
-  Station sta(w.sim, w.medium, w.sta_config(), &w.trace);
+  AccessPoint ap(w.sim, w.medium, w.ap_config());
+  Station sta(w.sim, w.medium, w.sta_config());
   ap.radio().set_position({3, 0});
   ap.start();
   sta.start();
@@ -358,8 +357,8 @@ TEST(ApSta, DeauthFromApDisconnectsAndRescans) {
 
 TEST(ApSta, BeaconLossTriggersRoam) {
   WirelessFixture w;
-  AccessPoint ap(w.sim, w.medium, w.ap_config(), &w.trace);
-  Station sta(w.sim, w.medium, w.sta_config(), &w.trace);
+  AccessPoint ap(w.sim, w.medium, w.ap_config());
+  Station sta(w.sim, w.medium, w.sta_config());
   ap.radio().set_position({3, 0});
   ap.start();
   sta.start();

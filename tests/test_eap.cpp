@@ -20,7 +20,6 @@ using util::to_bytes;
 struct EapFixture {
   sim::Simulator sim{141};
   phy::Medium medium{sim};
-  sim::Trace trace;
   const MacAddr victim_mac = MacAddr::from_id(0x51);
   const MacAddr staff_mac = MacAddr::from_id(0x52);
 
@@ -47,8 +46,8 @@ struct EapFixture {
 
 TEST(Eap, EnrolledClientComesUp) {
   EapFixture f;
-  AccessPoint ap(f.sim, f.medium, f.ap_cfg(), &f.trace);
-  Station sta(f.sim, f.medium, f.sta_cfg(f.victim_mac, "victim-key"), &f.trace);
+  AccessPoint ap(f.sim, f.medium, f.ap_cfg());
+  Station sta(f.sim, f.medium, f.sta_cfg(f.victim_mac, "victim-key"));
   ap.radio().set_position({3, 0});
 
   std::string up;
@@ -68,9 +67,9 @@ TEST(Eap, EnrolledClientComesUp) {
 
 TEST(Eap, ClientsUseDistinctKeys) {
   EapFixture f;
-  AccessPoint ap(f.sim, f.medium, f.ap_cfg(), &f.trace);
-  Station victim(f.sim, f.medium, f.sta_cfg(f.victim_mac, "victim-key"), &f.trace);
-  Station staff(f.sim, f.medium, f.sta_cfg(f.staff_mac, "staff-key"), &f.trace);
+  AccessPoint ap(f.sim, f.medium, f.ap_cfg());
+  Station victim(f.sim, f.medium, f.sta_cfg(f.victim_mac, "victim-key"));
+  Station staff(f.sim, f.medium, f.sta_cfg(f.staff_mac, "staff-key"));
   ap.radio().set_position({3, 0});
   staff.radio().set_position({0, 3});
   ap.start();
@@ -83,8 +82,8 @@ TEST(Eap, ClientsUseDistinctKeys) {
 
 TEST(Eap, WrongPersonalKeyStaysDown) {
   EapFixture f;
-  AccessPoint ap(f.sim, f.medium, f.ap_cfg(), &f.trace);
-  Station sta(f.sim, f.medium, f.sta_cfg(f.victim_mac, "not-my-key"), &f.trace);
+  AccessPoint ap(f.sim, f.medium, f.ap_cfg());
+  Station sta(f.sim, f.medium, f.sta_cfg(f.victim_mac, "not-my-key"));
   ap.radio().set_position({3, 0});
   ap.start();
   sta.start();
@@ -95,9 +94,9 @@ TEST(Eap, WrongPersonalKeyStaysDown) {
 
 TEST(Eap, UnenrolledMacIgnored) {
   EapFixture f;
-  AccessPoint ap(f.sim, f.medium, f.ap_cfg(), &f.trace);
+  AccessPoint ap(f.sim, f.medium, f.ap_cfg());
   Station sta(f.sim, f.medium,
-              f.sta_cfg(MacAddr::from_id(0x99), "victim-key"), &f.trace);
+              f.sta_cfg(MacAddr::from_id(0x99), "victim-key"));
   ap.radio().set_position({3, 0});
   ap.start();
   sta.start();
@@ -114,14 +113,14 @@ TEST(Eap, HandshakeTimeoutBlocklistsAndFallsBack) {
   rogue_cfg.bssid = MacAddr::from_id(0xEE);
   rogue_cfg.channel = 6;
   rogue_cfg.eap_client_keys = {};  // knows nobody
-  AccessPoint rogue(f.sim, f.medium, rogue_cfg, &f.trace);
-  AccessPoint legit(f.sim, f.medium, f.ap_cfg(), &f.trace);
+  AccessPoint rogue(f.sim, f.medium, rogue_cfg);
+  AccessPoint legit(f.sim, f.medium, f.ap_cfg());
   rogue.radio().set_position({2, 0});   // stronger
   legit.radio().set_position({15, 0});  // weaker
 
   auto stc = f.sta_cfg(f.victim_mac, "victim-key");
   stc.scan_channels = {1, 6};
-  Station sta(f.sim, f.medium, stc, &f.trace);
+  Station sta(f.sim, f.medium, stc);
 
   rogue.start();
   legit.start();

@@ -240,14 +240,12 @@ class ExplodingWorld final : public scenario::World {
     throw std::runtime_error("scripted replica failure");
   }
   [[nodiscard]] sim::Simulator& simulator() override { return sim_; }
-  [[nodiscard]] sim::Trace& trace() override { return trace_; }
   [[nodiscard]] scenario::Metrics collect_metrics() const override {
     return {};
   }
 
  private:
   sim::Simulator sim_;
-  sim::Trace trace_;
 };
 
 TEST(Sweep, FailedReplicasAreIsolatedAndReported) {

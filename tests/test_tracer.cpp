@@ -65,6 +65,42 @@ TEST(Tracer, DisabledPathRecordsNothingAndHandsOutZeroIds) {
   EXPECT_TRUE(t.dump().empty());
 }
 
+TEST(Tracer, NotesCountWithRingOffAndRecordWithRingOn) {
+  obs::Tracer t;
+  t.set_seed(7);
+  const obs::TraceNameId ok = t.name("test.ok");
+  const obs::TraceNameId bad = t.name("test.bad");
+  const obs::TraceActorId a = t.actor("actor");
+
+  // Ring off: the tallies count, nothing is recorded.
+  t.note(ok, a, obs::TraceLayer::kDot11);
+  t.note(bad, a, obs::TraceLayer::kDot11, /*warning=*/true);
+  t.note(ok, a, obs::TraceLayer::kDot11, false, 9);
+  EXPECT_EQ(t.notes(), 3u);
+  EXPECT_EQ(t.warnings(), 1u) << "only warning notes tally as warnings";
+  EXPECT_EQ(t.recorded(), 0u);
+  EXPECT_TRUE(t.dump().empty());
+
+  // Ring on: each note also lands as an instant; the tallies keep going.
+  t.enable(8);
+  t.note(bad, a, obs::TraceLayer::kDetect, true, 42);
+  EXPECT_EQ(t.notes(), 4u);
+  EXPECT_EQ(t.warnings(), 2u);
+  const obs::TracerDump dump = t.dump();
+  ASSERT_EQ(dump.events.size(), 1u);
+  EXPECT_EQ(dump.name_of(dump.events[0]), "test.bad");
+  EXPECT_EQ(dump.events[0].phase, obs::TracePhase::kInstant);
+  EXPECT_EQ(dump.events[0].layer, obs::TraceLayer::kDetect);
+  EXPECT_EQ(dump.events[0].arg, 42u);
+
+  // Reseeding keeps the tallies; reset() zeroes both.
+  t.set_seed(8);
+  EXPECT_EQ(t.notes(), 4u);
+  t.reset();
+  EXPECT_EQ(t.notes(), 0u);
+  EXPECT_EQ(t.warnings(), 0u);
+}
+
 TEST(Tracer, RingWraparoundKeepsNewestInEvictionOrder) {
   // Property: after N records into a capacity-C ring, the dump equals the
   // last min(N, C) records in order — checked against a reference deque.
@@ -465,14 +501,12 @@ class ThrowingWorld final : public scenario::World {
     throw std::runtime_error("episode exploded");
   }
   [[nodiscard]] sim::Simulator& simulator() override { return sim_; }
-  [[nodiscard]] sim::Trace& trace() override { return trace_; }
   [[nodiscard]] scenario::Metrics collect_metrics() const override {
     return {};
   }
 
  private:
   sim::Simulator sim_{1};
-  sim::Trace trace_;
 };
 
 TEST(SweepTrace, FailedReplicaCarriesFlightRecorderTail) {

@@ -109,7 +109,6 @@ TEST(WpaData, TamperAndWrongKeyRejected) {
 struct WpaFixture {
   sim::Simulator sim{91};
   phy::Medium medium{sim};
-  sim::Trace trace;
 
   ApConfig ap_cfg(const std::string& psk = "corp-passphrase") {
     ApConfig cfg;
@@ -133,8 +132,8 @@ struct WpaFixture {
 
 TEST(WpaApSta, HandshakeCompletesAndDataFlows) {
   WpaFixture w;
-  AccessPoint ap(w.sim, w.medium, w.ap_cfg(), &w.trace);
-  Station sta(w.sim, w.medium, w.sta_cfg(), &w.trace);
+  AccessPoint ap(w.sim, w.medium, w.ap_cfg());
+  Station sta(w.sim, w.medium, w.sta_cfg());
   ap.radio().set_position({3, 0});
 
   std::string up;
@@ -166,7 +165,7 @@ TEST(WpaApSta, HandshakeCompletesAndDataFlows) {
 
 TEST(WpaApSta, BroadcastUsesGroupKey) {
   WpaFixture w;
-  AccessPoint ap(w.sim, w.medium, w.ap_cfg(), &w.trace);
+  AccessPoint ap(w.sim, w.medium, w.ap_cfg());
   auto c1 = w.sta_cfg();
   auto c2 = w.sta_cfg();
   c2.mac = MacAddr::from_id(0x52);
@@ -196,8 +195,8 @@ TEST(WpaApSta, BroadcastUsesGroupKey) {
 
 TEST(WpaApSta, WrongPskNeverCompletesHandshake) {
   WpaFixture w;
-  AccessPoint ap(w.sim, w.medium, w.ap_cfg("corp-passphrase"), &w.trace);
-  Station sta(w.sim, w.medium, w.sta_cfg("wrong-passphrase"), &w.trace);
+  AccessPoint ap(w.sim, w.medium, w.ap_cfg("corp-passphrase"));
+  Station sta(w.sim, w.medium, w.sta_cfg("wrong-passphrase"));
   ap.radio().set_position({3, 0});
   ap.start();
   sta.start();
@@ -215,8 +214,8 @@ TEST(WpaApSta, ReplayedDataFrameDropped) {
   // Capture one protected frame off the air and re-inject it verbatim:
   // WEP accepts this (no replay protection); WPA must not.
   WpaFixture w;
-  AccessPoint ap(w.sim, w.medium, w.ap_cfg(), &w.trace);
-  Station sta(w.sim, w.medium, w.sta_cfg(), &w.trace);
+  AccessPoint ap(w.sim, w.medium, w.ap_cfg());
+  Station sta(w.sim, w.medium, w.sta_cfg());
   ap.radio().set_position({3, 0});
 
   int delivered = 0;
@@ -312,8 +311,8 @@ TEST(WpaApSta, WepReplayIsAcceptedForContrast) {
 
 TEST(WpaAttack, OutsiderSnifferReadsNothing) {
   WpaFixture w;
-  AccessPoint ap(w.sim, w.medium, w.ap_cfg(), &w.trace);
-  Station sta(w.sim, w.medium, w.sta_cfg(), &w.trace);
+  AccessPoint ap(w.sim, w.medium, w.ap_cfg());
+  Station sta(w.sim, w.medium, w.sta_cfg());
   ap.radio().set_position({3, 0});
 
   attack::SnifferConfig sc;
@@ -340,8 +339,8 @@ TEST(WpaAttack, PskHolderDecryptsAfterObservingHandshake) {
   // §2.2: "TKIP still relies on a pre shared key, thus is still vulnerable
   // to MITM attack from valid network clients" — and to passive insiders.
   WpaFixture w;
-  AccessPoint ap(w.sim, w.medium, w.ap_cfg(), &w.trace);
-  Station sta(w.sim, w.medium, w.sta_cfg(), &w.trace);
+  AccessPoint ap(w.sim, w.medium, w.ap_cfg());
+  Station sta(w.sim, w.medium, w.sta_cfg());
   ap.radio().set_position({3, 0});
 
   attack::SnifferConfig sc;
