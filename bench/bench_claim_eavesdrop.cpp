@@ -67,10 +67,10 @@ Result run_wired(std::uint64_t seed, bool use_switch) {
   });
 
   apps::HttpServer http(server, 80);
-  const util::Bytes page = apps::make_release_blob(1, kPageSize);
+  const apps::ReleaseBlobPtr page = apps::make_release_blob(1, kPageSize);
   http.route("/page", [&page](const apps::HttpRequest&) {
     apps::HttpResponse resp;
-    resp.body = page;
+    resp.body = page->bytes;
     return resp;
   });
 
@@ -126,10 +126,10 @@ Result run_wireless(std::uint64_t seed, bool wep, bool adversary_has_key) {
   server.configure("eth0", net::Ipv4Addr(10, 0, 0, 2), 24);
 
   apps::HttpServer http(server, 80);
-  const util::Bytes page = apps::make_release_blob(1, kPageSize);
+  const apps::ReleaseBlobPtr page = apps::make_release_blob(1, kPageSize);
   http.route("/page", [&page](const apps::HttpRequest&) {
     apps::HttpResponse resp;
-    resp.body = page;
+    resp.body = page->bytes;
     return resp;
   });
 

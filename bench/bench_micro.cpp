@@ -124,6 +124,31 @@ void BM_Sha256(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256)->Arg(1500)->Arg(65536);
 
+// Per-kernel variants, as for ChaCha20 above.
+void sha256_backend_bench(benchmark::State& state, crypto::Sha256Backend backend) {
+  if (crypto::sha256_set_backend(backend) != backend) {
+    crypto::sha256_set_backend(crypto::Sha256Backend::kAuto);
+    state.SkipWithError("backend unavailable on this host");
+    return;
+  }
+  const util::Bytes data = random_bytes(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::sha256(data));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+  crypto::sha256_set_backend(crypto::Sha256Backend::kAuto);
+}
+
+void BM_Sha256Scalar(benchmark::State& state) {
+  sha256_backend_bench(state, crypto::Sha256Backend::kScalar);
+}
+BENCHMARK(BM_Sha256Scalar)->Arg(1500)->Arg(65536);
+
+void BM_Sha256ShaNi(benchmark::State& state) {
+  sha256_backend_bench(state, crypto::Sha256Backend::kShaNi);
+}
+BENCHMARK(BM_Sha256ShaNi)->Arg(1500)->Arg(65536);
+
 void BM_HmacSha256(benchmark::State& state) {
   const util::Bytes key = random_bytes(32);
   const util::Bytes data = random_bytes(1500);
@@ -593,6 +618,25 @@ void BM_SimTcpTransfer(benchmark::State& state) {
 }
 BENCHMARK(BM_SimTcpTransfer);
 
+const char* backend_name(crypto::ChaChaBackend b) {
+  switch (b) {
+    case crypto::ChaChaBackend::kAuto: return "auto";
+    case crypto::ChaChaBackend::kScalar: return "scalar";
+    case crypto::ChaChaBackend::kSse2: return "sse2";
+    case crypto::ChaChaBackend::kAvx2: return "avx2";
+  }
+  return "?";
+}
+
+const char* backend_name(crypto::Sha256Backend b) {
+  switch (b) {
+    case crypto::Sha256Backend::kAuto: return "auto";
+    case crypto::Sha256Backend::kScalar: return "scalar";
+    case crypto::Sha256Backend::kShaNi: return "sha-ni";
+  }
+  return "?";
+}
+
 }  // namespace
 
 // BENCHMARK_MAIN() plus a `--smoke` flag: rewrites the flag into a tiny
@@ -607,6 +651,10 @@ int main(int argc, char** argv) {
   int args_count = static_cast<int>(args.size());
   benchmark::Initialize(&args_count, args.data());
   if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) return 1;
+  // The kernels the unforced benchmarks ran on, so a result file tells
+  // whether its host had AVX2 / SHA-NI.
+  benchmark::AddCustomContext("chacha20_backend", backend_name(crypto::chacha20_backend()));
+  benchmark::AddCustomContext("sha256_backend", backend_name(crypto::sha256_backend()));
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

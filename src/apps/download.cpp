@@ -1,20 +1,48 @@
 #include "apps/download.hpp"
 
+#include <map>
+#include <mutex>
+#include <utility>
+
 #include "util/fmt.hpp"
 #include "util/prng.hpp"
 
 namespace rogue::apps {
 
-util::Bytes make_release_blob(std::uint64_t seed, std::size_t size) {
-  util::Bytes out(size);
+namespace {
+[[nodiscard]] ReleaseBlob build_release_blob(std::uint64_t seed, std::size_t size) {
+  ReleaseBlob blob;
+  blob.bytes.resize(size);
   util::Prng rng(seed);
-  rng.fill(out);
+  rng.fill(blob.bytes);
   // A little structure so the blob looks like a tarball, not noise.
   const std::string header = util::format("RELEASE-{}\n", seed);
-  for (std::size_t i = 0; i < header.size() && i < out.size(); ++i) {
-    out[i] = static_cast<std::uint8_t>(header[i]);
+  for (std::size_t i = 0; i < header.size() && i < size; ++i) {
+    blob.bytes[i] = static_cast<std::uint8_t>(header[i]);
   }
-  return out;
+  blob.md5_hex = crypto::md5_hex(blob.bytes);
+  return blob;
+}
+
+/// Serves `blob` as the download file at kDownloadFilePath.
+void route_file(HttpServer& server, ReleaseBlobPtr blob) {
+  server.route(std::string(kDownloadFilePath),
+               [blob = std::move(blob)](const HttpRequest&) {
+                 HttpResponse resp;
+                 resp.headers.emplace_back("Content-Type", "application/octet-stream");
+                 resp.body = blob->bytes;
+                 return resp;
+               });
+}
+}  // namespace
+
+ReleaseBlobPtr make_release_blob(std::uint64_t seed, std::size_t size) {
+  static std::mutex mutex;
+  static std::map<std::pair<std::uint64_t, std::size_t>, ReleaseBlobPtr> cache;
+  const std::lock_guard<std::mutex> lock(mutex);
+  ReleaseBlobPtr& slot = cache[{seed, size}];
+  if (!slot) slot = std::make_shared<const ReleaseBlob>(build_release_blob(seed, size));
+  return slot;
 }
 
 std::string render_download_page(std::string_view href, std::string_view md5_hex) {
@@ -27,29 +55,18 @@ std::string render_download_page(std::string_view href, std::string_view md5_hex
       href, md5_hex);
 }
 
-void install_download_site(HttpServer& server, const util::Bytes& file) {
-  const std::string md5 = crypto::md5_hex(file);
-  server.route(std::string(kDownloadPagePath), [md5](const HttpRequest&) {
+void install_download_site(HttpServer& server, ReleaseBlobPtr file) {
+  server.route(std::string(kDownloadPagePath), [md5 = file->md5_hex](const HttpRequest&) {
     HttpResponse resp;
     resp.headers.emplace_back("Content-Type", "text/html");
     resp.body = util::to_bytes(render_download_page("file.tgz", md5));
     return resp;
   });
-  server.route(std::string(kDownloadFilePath), [file](const HttpRequest&) {
-    HttpResponse resp;
-    resp.headers.emplace_back("Content-Type", "application/octet-stream");
-    resp.body = file;
-    return resp;
-  });
+  route_file(server, std::move(file));
 }
 
-void install_trojan_site(HttpServer& server, const util::Bytes& trojan) {
-  server.route(std::string(kDownloadFilePath), [trojan](const HttpRequest&) {
-    HttpResponse resp;
-    resp.headers.emplace_back("Content-Type", "application/octet-stream");
-    resp.body = trojan;
-    return resp;
-  });
+void install_trojan_site(HttpServer& server, ReleaseBlobPtr trojan) {
+  route_file(server, std::move(trojan));
 }
 
 std::optional<DownloadPageInfo> parse_download_page(std::string_view html) {

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -21,8 +22,17 @@ namespace rogue::apps {
 inline constexpr std::string_view kDownloadPagePath = "/download.html";
 inline constexpr std::string_view kDownloadFilePath = "/file.tgz";
 
-/// Deterministic "software release" content.
-[[nodiscard]] util::Bytes make_release_blob(std::uint64_t seed, std::size_t size);
+/// Deterministic "software release" content and its `md5sum`.
+struct ReleaseBlob {
+  util::Bytes bytes;
+  std::string md5_hex;
+};
+using ReleaseBlobPtr = std::shared_ptr<const ReleaseBlob>;
+
+/// The release blob for (seed, size). Pure in its arguments, so each one
+/// is built and hashed once per process and then shared, immutable, by
+/// every world and server that serves it. Thread-safe.
+[[nodiscard]] ReleaseBlobPtr make_release_blob(std::uint64_t seed, std::size_t size);
 
 /// Render the download page HTML: a link plus the published MD5SUM.
 [[nodiscard]] std::string render_download_page(std::string_view href,
@@ -30,10 +40,10 @@ inline constexpr std::string_view kDownloadFilePath = "/file.tgz";
 
 /// Install the legitimate download site onto an HTTP server:
 /// /download.html links to file.tgz and publishes md5(file).
-void install_download_site(HttpServer& server, const util::Bytes& file);
+void install_download_site(HttpServer& server, ReleaseBlobPtr file);
 
 /// Install the attacker's mirror hosting a trojaned blob at /file.tgz.
-void install_trojan_site(HttpServer& server, const util::Bytes& trojan);
+void install_trojan_site(HttpServer& server, ReleaseBlobPtr trojan);
 
 /// Extracted page fields.
 struct DownloadPageInfo {

@@ -74,7 +74,7 @@ void RogueGateway::start() {
                                            config_.netsed_rules, config_.netsed_mode);
 
   // Attacker-hosted mirror with the trojaned binary.
-  if (!config_.trojan_blob.empty()) {
+  if (config_.trojan_blob) {
     trojan_server_ = std::make_unique<apps::HttpServer>(*host_, 80);
     apps::install_trojan_site(*trojan_server_, config_.trojan_blob);
   }

@@ -54,8 +54,8 @@ struct RogueGatewayConfig {
   std::vector<apps::NetsedRule> netsed_rules;
   apps::NetsedMode netsed_mode = apps::NetsedMode::kPerSegment;
 
-  /// If non-empty: serve this trojaned blob at http://<wlan_ip>/file.tgz.
-  util::Bytes trojan_blob;
+  /// If set: serve this trojaned blob at http://<wlan_ip>/file.tgz.
+  apps::ReleaseBlobPtr trojan_blob;
 
   /// TCP parameters for the gateway host (netsed + trojan server).
   net::TcpConfig tcp;

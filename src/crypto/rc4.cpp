@@ -11,9 +11,11 @@ Rc4::Rc4(util::ByteView key) {
   ROGUE_ASSERT_MSG(!key.empty() && key.size() <= 256, "RC4 key must be 1..256 bytes");
   std::iota(s_.begin(), s_.end(), 0);
   std::uint8_t j = 0;
+  std::size_t k = 0;  // i % key.size(), kept by wrapping instead of dividing
   for (std::size_t i = 0; i < 256; ++i) {
-    j = static_cast<std::uint8_t>(j + s_[i] + key[i % key.size()]);
+    j = static_cast<std::uint8_t>(j + s_[i] + key[k]);
     std::swap(s_[i], s_[j]);
+    if (++k == key.size()) k = 0;
   }
 }
 

@@ -3,6 +3,8 @@
 #include <bit>
 #include <cstring>
 
+#include "crypto/sha256_kernels.hpp"
+
 namespace rogue::crypto {
 
 namespace {
@@ -18,56 +20,99 @@ constexpr std::array<std::uint32_t, 64> kK = {
     0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
     0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
+
+void compress_scalar(std::uint32_t* state, const std::uint8_t* block,
+                     std::size_t blocks) {
+  for (; blocks > 0; --blocks, block += 64) {
+    std::array<std::uint32_t, 64> w;
+    for (std::size_t i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
+             (static_cast<std::uint32_t>(block[i * 4 + 1]) << 16) |
+             (static_cast<std::uint32_t>(block[i * 4 + 2]) << 8) |
+             static_cast<std::uint32_t>(block[i * 4 + 3]);
+    }
+    for (std::size_t i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          std::rotr(w[i - 15], 7) ^ std::rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          std::rotr(w[i - 2], 17) ^ std::rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (std::size_t i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
+      const std::uint32_t s0 = std::rotr(a, 2) ^ std::rotr(a, 13) ^ std::rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+using CompressFn = void (*)(std::uint32_t*, const std::uint8_t*, std::size_t);
+
+[[nodiscard]] bool cpu_has_shani() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sha") != 0 &&
+         __builtin_cpu_supports("ssse3") != 0 &&
+         __builtin_cpu_supports("sse4.1") != 0;
+#else
+  return false;
+#endif
+}
+
+[[nodiscard]] CompressFn resolve(Sha256Backend requested) {
+  const bool shani = detail::sha256_shani_compiled() && cpu_has_shani();
+  if (requested == Sha256Backend::kScalar || !shani) return compress_scalar;
+  return detail::sha256_compress_shani;  // kAuto / kShaNi: best available
+}
+
+/// Process-wide kernel selection. The magic static makes first-use
+/// resolution thread-safe; sha256_set_backend() is init/test-time only.
+CompressFn& dispatch() {
+  static CompressFn fn = resolve(Sha256Backend::kAuto);
+  return fn;
+}
 }  // namespace
+
+Sha256Backend sha256_set_backend(Sha256Backend backend) {
+  dispatch() = resolve(backend);
+  return sha256_backend();
+}
+
+Sha256Backend sha256_backend() {
+  return dispatch() == compress_scalar ? Sha256Backend::kScalar
+                                       : Sha256Backend::kShaNi;
+}
 
 Sha256::Sha256()
     : state_{0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
              0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u} {}
 
-void Sha256::process_block(const std::uint8_t* block) {
-  std::array<std::uint32_t, 64> w;
-  for (std::size_t i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
-           (static_cast<std::uint32_t>(block[i * 4 + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[i * 4 + 2]) << 8) |
-           static_cast<std::uint32_t>(block[i * 4 + 3]);
-  }
-  for (std::size_t i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        std::rotr(w[i - 15], 7) ^ std::rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        std::rotr(w[i - 2], 17) ^ std::rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (std::size_t i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
-    const std::uint32_t s0 = std::rotr(a, 2) ^ std::rotr(a, 13) ^ std::rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+void Sha256::compress(const std::uint8_t* data, std::size_t blocks) {
+  dispatch()(state_.data(), data, blocks);
 }
 
 void Sha256::update(util::ByteView data) {
@@ -80,13 +125,14 @@ void Sha256::update(util::ByteView data) {
     buffer_len_ += take;
     offset += take;
     if (buffer_len_ == buffer_.size()) {
-      process_block(buffer_.data());
+      compress(buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (data.size() - offset >= 64) {
-    process_block(data.data() + offset);
-    offset += 64;
+  const std::size_t blocks = (data.size() - offset) / 64;
+  if (blocks > 0) {
+    compress(data.data() + offset, blocks);
+    offset += blocks * 64;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
@@ -95,16 +141,20 @@ void Sha256::update(util::ByteView data) {
 }
 
 Sha256Digest Sha256::finish() {
+  // 0x80, zero fill, then the 64-bit big-endian bit length in the last
+  // 8 bytes: one block, or two when fewer than 9 bytes are left.
   const std::uint64_t bit_len = total_len_ * 8;
-  static constexpr std::uint8_t kPad = 0x80;
-  update(util::ByteView(&kPad, 1));
-  static constexpr std::uint8_t kZero = 0x00;
-  while (buffer_len_ != 56) update(util::ByteView(&kZero, 1));
-  std::array<std::uint8_t, 8> len_be{};
-  for (std::size_t i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, buffer_.size() - buffer_len_);
+    compress(buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  update(util::ByteView(len_be.data(), len_be.size()));
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  for (std::size_t i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
+  }
+  compress(buffer_.data(), 1);
 
   Sha256Digest out{};
   for (std::size_t i = 0; i < 8; ++i) {

@@ -12,6 +12,19 @@ namespace rogue::crypto {
 
 using Sha256Digest = std::array<std::uint8_t, 32>;
 
+/// Compression kernel selection. kAuto probes the CPU once (SHA-NI >
+/// scalar); the explicit values force a path for tests and benchmarks.
+/// Every backend produces byte-identical digests — only speed differs.
+enum class Sha256Backend { kAuto, kScalar, kShaNi };
+
+/// Force the compression kernel. Call before hashing starts (init or test
+/// setup — the switch is not synchronized against in-flight calls).
+/// Forcing a backend the host cannot run falls back to the best available
+/// one. Returns the backend actually in effect.
+Sha256Backend sha256_set_backend(Sha256Backend backend);
+/// The backend update()/finish() currently dispatch to (never kAuto).
+[[nodiscard]] Sha256Backend sha256_backend();
+
 class Sha256 {
  public:
   Sha256();
@@ -20,7 +33,8 @@ class Sha256 {
   [[nodiscard]] Sha256Digest finish();
 
  private:
-  void process_block(const std::uint8_t* block);
+  /// Compress `blocks` consecutive 64-byte blocks through the dispatched kernel.
+  void compress(const std::uint8_t* data, std::size_t blocks);
 
   std::array<std::uint32_t, 8> state_;
   std::uint64_t total_len_ = 0;

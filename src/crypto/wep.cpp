@@ -1,5 +1,8 @@
 #include "crypto/wep.hpp"
 
+#include <algorithm>
+#include <array>
+
 #include "crypto/crc32.hpp"
 #include "crypto/rc4.hpp"
 #include "util/assert.hpp"
@@ -46,12 +49,13 @@ WepIv WepIvGenerator::next() {
 }
 
 namespace {
-[[nodiscard]] util::Bytes rc4_key(const WepIv& iv, util::ByteView key) {
-  util::Bytes k;
-  k.reserve(kWepIvLen + key.size());
-  k.insert(k.end(), iv.begin(), iv.end());
-  k.insert(k.end(), key.begin(), key.end());
-  return k;
+/// IV || key, the per-frame RC4 key, built on the stack.
+[[nodiscard]] Rc4 frame_cipher(const WepIv& iv, util::ByteView key) {
+  ROGUE_ASSERT_MSG(key.size() <= kWep104KeyLen, "WEP key must be at most 13 bytes");
+  std::array<std::uint8_t, kWepIvLen + kWep104KeyLen> k{};
+  std::copy(iv.begin(), iv.end(), k.begin());
+  std::copy(key.begin(), key.end(), k.begin() + kWepIvLen);
+  return Rc4(util::ByteView(k.data(), kWepIvLen + key.size()));
 }
 }  // namespace
 
@@ -61,19 +65,17 @@ util::Bytes wep_encrypt(const WepIv& iv, util::ByteView key, util::ByteView plai
                    "WEP key must be 5 or 13 bytes");
   ROGUE_ASSERT_MSG(key_id < 4, "WEP key id is 2 bits");
 
-  // plaintext || ICV (CRC-32 little-endian, per 802.11-1999 8.2.3).
-  util::Bytes data(plaintext.begin(), plaintext.end());
-  const std::uint32_t icv = crc32(plaintext);
-  for (int i = 0; i < 4; ++i) data.push_back(static_cast<std::uint8_t>(icv >> (8 * i)));
-
-  Rc4 cipher(rc4_key(iv, key));
-  cipher.process(data);
-
+  // IV || key id || plaintext || ICV (CRC-32 little-endian, per 802.11-1999
+  // 8.2.3), then RC4 over everything after the key-id byte, in place.
   util::Bytes out;
-  out.reserve(kWepIvLen + 1 + data.size());
+  out.reserve(kWepIvLen + 1 + plaintext.size() + kWepIcvLen);
   out.insert(out.end(), iv.begin(), iv.end());
   out.push_back(static_cast<std::uint8_t>(key_id << 6));
-  out.insert(out.end(), data.begin(), data.end());
+  out.insert(out.end(), plaintext.begin(), plaintext.end());
+  const std::uint32_t icv = crc32(plaintext);
+  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(icv >> (8 * i)));
+
+  frame_cipher(iv, key).process(std::span<std::uint8_t>(out).subspan(kWepIvLen + 1));
   return out;
 }
 
@@ -90,8 +92,7 @@ std::optional<WepDecryptResult> wep_decrypt(util::ByteView body, util::ByteView 
   const auto header = wep_parse_header(body);
   if (!header) return std::nullopt;
 
-  Rc4 cipher(rc4_key(header->iv, key));
-  util::Bytes data = cipher.apply(header->ciphertext);
+  util::Bytes data = frame_cipher(header->iv, key).apply(header->ciphertext);
 
   const std::size_t plain_len = data.size() - kWepIcvLen;
   std::uint32_t icv = 0;

@@ -65,7 +65,7 @@ struct WepDecryptResult {
 };
 
 /// Decrypt a WEP-encapsulated body; returns nullopt if too short or the
-/// ICV check fails (wrong key or tampered frame).
+/// ICV check fails (wrong key or tampered frame). `key` is at most 13 bytes.
 [[nodiscard]] std::optional<WepDecryptResult> wep_decrypt(util::ByteView body,
                                                           util::ByteView key);
 

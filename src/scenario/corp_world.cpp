@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "crypto/aead.hpp"
-#include "crypto/md5.hpp"
 #include "util/assert.hpp"
 
 namespace rogue::scenario {
@@ -30,18 +29,12 @@ CorpWorld::CorpWorld(CorpConfig config)
       sim_(config_.seed),
       medium_(sim_, config_.medium),
       corp_lan_(sim_),
-      internet_(sim_) {
-  release_ = apps::make_release_blob(/*seed=*/0xFEED, config_.release_size);
-  trojan_ = apps::make_release_blob(/*seed=*/0xBAD, config_.release_size);
-}
+      internet_(sim_),
+      release_(apps::make_release_blob(/*seed=*/0xFEED, config_.release_size)),
+      trojan_(apps::make_release_blob(/*seed=*/0xBAD, config_.release_size)) {}
 
 net::MacAddr CorpWorld::legit_bssid() const { return kLegitBssid; }
 net::MacAddr CorpWorld::victim_mac() const { return kVictimMac; }
-
-std::string CorpWorld::release_md5() const {
-  return crypto::md5_hex(release_);
-}
-std::string CorpWorld::trojan_md5() const { return crypto::md5_hex(trojan_); }
 
 void CorpWorld::configure(std::uint64_t seed) {
   ROGUE_ASSERT_MSG(!started_, "configure() must precede start()");

@@ -241,11 +241,9 @@ class CorpWorld final : public World, private faults::FaultTarget {
   /// Is the victim currently associated with the rogue AP (vs the real one)?
   [[nodiscard]] bool victim_on_rogue() const;
 
-  /// The genuine release blob and the attacker's trojan.
-  [[nodiscard]] const util::Bytes& release_blob() const { return release_; }
-  [[nodiscard]] const util::Bytes& trojan_blob() const { return trojan_; }
-  [[nodiscard]] std::string release_md5() const;
-  [[nodiscard]] std::string trojan_md5() const;
+  /// MD5 of the genuine release blob and of the attacker's trojan.
+  [[nodiscard]] const std::string& release_md5() const { return release_->md5_hex; }
+  [[nodiscard]] const std::string& trojan_md5() const { return trojan_->md5_hex; }
 
  private:
   void build_wired();
@@ -269,8 +267,8 @@ class CorpWorld final : public World, private faults::FaultTarget {
   net::Switch corp_lan_;
   net::Switch internet_;
 
-  util::Bytes release_;
-  util::Bytes trojan_;
+  apps::ReleaseBlobPtr release_;
+  apps::ReleaseBlobPtr trojan_;
 
   std::unique_ptr<net::Host> corp_gw_;
   std::unique_ptr<net::Host> web_;

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "crypto/aead.hpp"
-#include "crypto/md5.hpp"
 #include "util/assert.hpp"
 
 namespace rogue::scenario {
@@ -21,19 +20,15 @@ HotspotWorld::HotspotWorld(HotspotConfig config)
     : config_(std::move(config)),
       sim_(config_.seed),
       medium_(sim_, config_.medium),
-      internet_(sim_) {
-  release_ = apps::make_release_blob(0xFEED, config_.release_size);
-  trojan_ = apps::make_release_blob(0xBAD, config_.release_size);
-}
+      internet_(sim_),
+      release_(apps::make_release_blob(0xFEED, config_.release_size)),
+      trojan_(apps::make_release_blob(0xBAD, config_.release_size)) {}
 
 void HotspotWorld::configure(std::uint64_t seed) {
   ROGUE_ASSERT_MSG(!started_, "configure() must precede start()");
   config_.seed = seed;
   sim_.reseed(seed);
 }
-
-std::string HotspotWorld::release_md5() const { return crypto::md5_hex(release_); }
-std::string HotspotWorld::trojan_md5() const { return crypto::md5_hex(trojan_); }
 
 void HotspotWorld::start() {
   if (started_) return;

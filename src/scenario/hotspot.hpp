@@ -119,10 +119,8 @@ class HotspotWorld final : public World, private faults::FaultTarget {
   [[nodiscard]] net::Host& client() { return *client_; }
   [[nodiscard]] dot11::Station& client_sta() { return *client_sta_; }
   [[nodiscard]] net::Host& hotspot_gw() { return *gw_; }
-  [[nodiscard]] const util::Bytes& release_blob() const { return release_; }
-  [[nodiscard]] const util::Bytes& trojan_blob() const { return trojan_; }
-  [[nodiscard]] std::string release_md5() const;
-  [[nodiscard]] std::string trojan_md5() const;
+  [[nodiscard]] const std::string& release_md5() const { return release_->md5_hex; }
+  [[nodiscard]] const std::string& trojan_md5() const { return trojan_->md5_hex; }
 
  private:
   void start_chatter();
@@ -140,8 +138,8 @@ class HotspotWorld final : public World, private faults::FaultTarget {
   phy::Medium medium_;
   net::Switch internet_;
 
-  util::Bytes release_;
-  util::Bytes trojan_;
+  apps::ReleaseBlobPtr release_;
+  apps::ReleaseBlobPtr trojan_;
 
   std::unique_ptr<dot11::AccessPoint> ap_;
   std::unique_ptr<net::Host> gw_;

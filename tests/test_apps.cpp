@@ -3,6 +3,9 @@
 // segment-boundary limitation), and the download-verify workload.
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "apps/download.hpp"
 #include "apps/http.hpp"
 #include "apps/netsed.hpp"
@@ -16,6 +19,7 @@ namespace {
 using net::Ipv4Addr;
 using net::MacAddr;
 using util::Bytes;
+using util::ByteView;
 using util::to_bytes;
 
 // ---- HTTP codec ----------------------------------------------------------------
@@ -144,7 +148,7 @@ TEST(Http, UnknownPathIs404) {
 TEST(Http, LargeBodyTransfers) {
   HttpFixture f;
   HttpServer server(*f.server, 80);
-  Bytes blob = make_release_blob(1, 64 * 1024);
+  const Bytes blob = make_release_blob(1, 64 * 1024)->bytes;
   server.route("/big", [&blob](const HttpRequest&) {
     HttpResponse resp;
     resp.body = blob;
@@ -346,14 +350,48 @@ TEST(DownloadPage, RejectsGarbage) {
 }
 
 TEST(ReleaseBlob, DeterministicPerSeed) {
-  EXPECT_EQ(make_release_blob(1, 1000), make_release_blob(1, 1000));
-  EXPECT_NE(make_release_blob(1, 1000), make_release_blob(2, 1000));
+  EXPECT_EQ(make_release_blob(1, 1000)->bytes, make_release_blob(1, 1000)->bytes);
+  EXPECT_NE(make_release_blob(1, 1000)->bytes, make_release_blob(2, 1000)->bytes);
+}
+
+TEST(ReleaseBlob, CacheSharesOneImmutableBlobPerSeedAndSize) {
+  const ReleaseBlobPtr a = make_release_blob(0x5EED, 3000);
+  EXPECT_EQ(make_release_blob(0x5EED, 3000), a);  // same object, not a copy
+  EXPECT_EQ(a->bytes.size(), 3000u);
+  EXPECT_EQ(a->md5_hex, crypto::md5_hex(a->bytes));
+  EXPECT_EQ(util::to_string(ByteView(a->bytes).subspan(0, 13)), "RELEASE-24301");
+
+  // Another seed or another size is another blob.
+  for (const ReleaseBlobPtr& other :
+       {make_release_blob(0x5EEE, 3000), make_release_blob(0x5EED, 3001),
+        make_release_blob(0x5EED, 2999)}) {
+    EXPECT_NE(other, a);
+    EXPECT_NE(other->md5_hex, a->md5_hex);
+    EXPECT_EQ(other->md5_hex, crypto::md5_hex(other->bytes));
+  }
+  EXPECT_NE(make_release_blob(0x5EEE, 3000)->bytes, a->bytes);
+}
+
+TEST(ReleaseBlob, ConcurrentFirstUseBuildsOneBlob) {
+  // Sweep workers build worlds concurrently; racing first uses of a key
+  // must all get the same fully built blob.
+  constexpr std::size_t kThreads = 8;
+  std::vector<ReleaseBlobPtr> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&got, t] { got[t] = make_release_blob(0xC0C0, 64 * 1024); });
+  }
+  for (auto& th : threads) th.join();
+  for (const ReleaseBlobPtr& p : got) {
+    ASSERT_EQ(p, got[0]);
+    EXPECT_EQ(p->md5_hex, crypto::md5_hex(p->bytes));
+  }
 }
 
 TEST(Download, CleanNetworkVerifies) {
   HttpFixture f;
   HttpServer server(*f.server, 80);
-  const Bytes release = make_release_blob(0xFEED, 8192);
+  const ReleaseBlobPtr release = make_release_blob(0xFEED, 8192);
   install_download_site(server, release);
 
   DownloadOutcome outcome;
@@ -364,7 +402,7 @@ TEST(Download, CleanNetworkVerifies) {
   EXPECT_TRUE(outcome.page_fetched);
   EXPECT_TRUE(outcome.file_fetched);
   EXPECT_TRUE(outcome.md5_verified);
-  EXPECT_EQ(outcome.fetched_md5_hex, crypto::md5_hex(release));
+  EXPECT_EQ(outcome.fetched_md5_hex, crypto::md5_hex(release->bytes));
   EXPECT_EQ(outcome.fetched_from, Ipv4Addr(10, 0, 0, 2));
 }
 
@@ -373,8 +411,8 @@ TEST(Download, TamperedBinaryWithoutMd5RewriteIsCaught) {
   // victim's verification catches it — motivating the paper's dual rewrite.
   HttpFixture f;
   HttpServer server(*f.server, 80);
-  const Bytes release = make_release_blob(0xFEED, 8192);
-  const Bytes trojan = make_release_blob(0xBAD, 8192);
+  const Bytes release = make_release_blob(0xFEED, 8192)->bytes;
+  const Bytes trojan = make_release_blob(0xBAD, 8192)->bytes;
   const std::string md5 = crypto::md5_hex(release);
   server.route(std::string(kDownloadPagePath), [md5](const HttpRequest&) {
     HttpResponse resp;

@@ -2,6 +2,9 @@
 // property-style round-trip and tamper-detection sweeps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -102,10 +105,13 @@ TEST(Md5, StreamingMatchesOneShot) {
   rng.fill(data);
   Md5 h;
   // Feed in awkward chunk sizes straddling the 64-byte block boundary.
+  // Empty chunks, including a null ByteView{} while a partial block is
+  // buffered, must be no-ops.
   std::size_t pos = 0;
-  const std::size_t chunks[] = {1, 63, 64, 65, 100, 707};
+  const std::size_t chunks[] = {1, 0, 63, 64, 65, 0, 100, 707};
   for (const std::size_t c : chunks) {
     h.update(ByteView(data).subspan(pos, c));
+    h.update(ByteView{});
     pos += c;
   }
   EXPECT_EQ(pos, data.size());
@@ -131,6 +137,111 @@ TEST(Sha256, MillionAs) {
   const auto digest = h.finish();
   EXPECT_EQ(hex_encode(ByteView(digest.data(), digest.size())),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+// The scalar and SHA-NI kernels must be interchangeable: same digest on
+// every message shape and update split. SHA-NI cases skip on CPUs
+// without the extension.
+class Sha256Backends : public ::testing::Test {
+ protected:
+  void TearDown() override { sha256_set_backend(Sha256Backend::kAuto); }
+
+  static std::vector<Sha256Backend> backends() {
+    return {Sha256Backend::kScalar, Sha256Backend::kShaNi};
+  }
+
+  /// Force `backend`; false (after GTEST_SKIP) when the host lacks it.
+  static bool use(Sha256Backend backend) {
+    return sha256_set_backend(backend) == backend;
+  }
+
+  static Sha256Digest digest_with(Sha256Backend backend, ByteView msg) {
+    sha256_set_backend(backend);
+    return sha256(msg);
+  }
+};
+
+TEST_F(Sha256Backends, FipsVectorsOnEveryBackend) {
+  for (const Sha256Backend b : backends()) {
+    if (!use(b)) GTEST_SKIP() << "SHA-NI unavailable on this host";
+    EXPECT_EQ(sha256_hex(to_bytes("abc")),
+              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+    EXPECT_EQ(sha256_hex({}),
+              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+    EXPECT_EQ(sha256_hex(to_bytes(
+                  "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
+              "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+    EXPECT_EQ(sha256_hex(to_bytes(
+                  "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+                  "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu")),
+              "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
+    Sha256 h;
+    const Bytes chunk(1000, 'a');
+    for (int i = 0; i < 1000; ++i) h.update(chunk);
+    const auto digest = h.finish();
+    EXPECT_EQ(hex_encode(ByteView(digest.data(), digest.size())),
+              "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  }
+}
+
+TEST_F(Sha256Backends, EveryLengthMatchesScalar) {
+  // 0..1100 covers every padding shape (one or two final blocks) and
+  // multi-block bulk calls; 1 MiB is one long kernel call.
+  if (!use(Sha256Backend::kShaNi)) GTEST_SKIP() << "SHA-NI unavailable on this host";
+  util::Prng rng(21);
+  Bytes data(1100);
+  rng.fill(data);
+  for (std::size_t len = 0; len <= data.size(); ++len) {
+    const ByteView msg = ByteView(data).subspan(0, len);
+    ASSERT_EQ(digest_with(Sha256Backend::kShaNi, msg),
+              digest_with(Sha256Backend::kScalar, msg))
+        << "length " << len;
+  }
+  Bytes big(1 << 20);
+  rng.fill(big);
+  EXPECT_EQ(digest_with(Sha256Backend::kShaNi, big),
+            digest_with(Sha256Backend::kScalar, big));
+}
+
+TEST_F(Sha256Backends, RandomUpdateSplitsMatchOneShot) {
+  util::Prng rng(22);
+  for (int trial = 0; trial < 200; ++trial) {
+    Bytes msg(rng.uniform_u32(2000));
+    rng.fill(msg);
+    const Sha256Digest want = digest_with(Sha256Backend::kScalar, msg);
+    for (const Sha256Backend b : backends()) {
+      if (!use(b)) continue;
+      Sha256 h;
+      std::size_t off = 0;
+      while (off < msg.size()) {
+        const std::size_t step = std::min<std::size_t>(
+            rng.uniform_u32(200), msg.size() - off);
+        h.update(ByteView(msg).subspan(off, step));
+        off += step;
+      }
+      h.update(ByteView{});
+      EXPECT_EQ(h.finish(), want)
+          << "backend " << static_cast<int>(b) << " size " << msg.size();
+    }
+  }
+}
+
+TEST_F(Sha256Backends, UnalignedBufferOffsets) {
+  // The SHA-NI kernel loads message blocks unaligned; hash the same bytes
+  // at every offset inside an overaligned arena.
+  util::Prng rng(23);
+  alignas(64) std::array<std::uint8_t, 64 + 1000> arena{};
+  Bytes msg(1000);
+  rng.fill(msg);
+  const Sha256Digest want = digest_with(Sha256Backend::kScalar, msg);
+  for (const Sha256Backend b : backends()) {
+    if (!use(b)) continue;
+    for (std::size_t offset = 0; offset < 64; ++offset) {
+      std::copy(msg.begin(), msg.end(), arena.begin() + static_cast<std::ptrdiff_t>(offset));
+      EXPECT_EQ(sha256(ByteView(arena).subspan(offset, msg.size())), want)
+          << "backend " << static_cast<int>(b) << " offset " << offset;
+    }
+  }
 }
 
 // ---- HMAC ---------------------------------------------------------------------
@@ -763,6 +874,64 @@ struct Rc4Bytewise {
   }
 };
 
+// MD5 as a single 64-step loop with a per-step round branch: the
+// straightforward RFC 1321 transcription the unrolled kernel replaced.
+Md5Digest md5_loop(ByteView data) {
+  static constexpr std::uint32_t kShift[4][4] = {
+      {7, 12, 17, 22}, {5, 9, 14, 20}, {4, 11, 16, 23}, {6, 10, 15, 21}};
+  std::array<std::uint32_t, 64> sines;
+  for (std::size_t i = 0; i < 64; ++i) {
+    sines[i] = static_cast<std::uint32_t>(
+        std::floor(std::fabs(std::sin(static_cast<double>(i + 1))) * 4294967296.0));
+  }
+  Bytes msg(data.begin(), data.end());
+  const std::uint64_t bit_len = static_cast<std::uint64_t>(data.size()) * 8;
+  msg.push_back(0x80);
+  while (msg.size() % 64 != 56) msg.push_back(0);
+  for (std::size_t i = 0; i < 8; ++i) msg.push_back(static_cast<std::uint8_t>(bit_len >> (8 * i)));
+
+  std::uint32_t st[4] = {0x67452301u, 0xefcdab89u, 0x98badcfeu, 0x10325476u};
+  for (std::size_t blk = 0; blk < msg.size(); blk += 64) {
+    std::uint32_t m[16];
+    for (std::size_t i = 0; i < 16; ++i) {
+      m[i] = static_cast<std::uint32_t>(msg[blk + 4 * i]) |
+             (static_cast<std::uint32_t>(msg[blk + 4 * i + 1]) << 8) |
+             (static_cast<std::uint32_t>(msg[blk + 4 * i + 2]) << 16) |
+             (static_cast<std::uint32_t>(msg[blk + 4 * i + 3]) << 24);
+    }
+    std::uint32_t a = st[0], b = st[1], c = st[2], d = st[3];
+    for (std::uint32_t i = 0; i < 64; ++i) {
+      std::uint32_t f = 0;
+      std::uint32_t g = 0;
+      if (i < 16) {
+        f = (b & c) | (~b & d);
+        g = i;
+      } else if (i < 32) {
+        f = (d & b) | (~d & c);
+        g = (5 * i + 1) % 16;
+      } else if (i < 48) {
+        f = b ^ c ^ d;
+        g = (3 * i + 5) % 16;
+      } else {
+        f = c ^ (b | ~d);
+        g = (7 * i) % 16;
+      }
+      const std::uint32_t tmp = d;
+      d = c;
+      c = b;
+      b = b + std::rotl(a + f + sines[i] + m[g], static_cast<int>(kShift[i / 16][i % 4]));
+      a = tmp;
+    }
+    st[0] += a;
+    st[1] += b;
+    st[2] += c;
+    st[3] += d;
+  }
+  Md5Digest out{};
+  for (std::size_t i = 0; i < 16; ++i) out[i] = static_cast<std::uint8_t>(st[i / 4] >> (8 * (i % 4)));
+  return out;
+}
+
 }  // namespace reference
 
 TEST(Crc32, MatchesBitwiseReference) {
@@ -795,6 +964,16 @@ TEST(Rc4, MatchesBytewiseReference) {
     Bytes got = msg;
     fast.process(got);
     EXPECT_EQ(got, expect);
+  }
+}
+
+TEST(Md5, MatchesLoopReference) {
+  // Every length up to 200 (all padding shapes), then random ones.
+  util::Prng rng(14);
+  for (std::uint32_t trial = 0; trial < 300; ++trial) {
+    Bytes data(trial <= 200 ? trial : rng.uniform_u32(5000));
+    rng.fill(data);
+    EXPECT_EQ(md5(data), reference::md5_loop(data)) << "size " << data.size();
   }
 }
 
