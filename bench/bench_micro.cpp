@@ -524,6 +524,58 @@ void BM_MetroDeliver(benchmark::State& state) {
 }
 BENCHMARK(BM_MetroDeliver)->Arg(4096)->Arg(65536)->Unit(benchmark::kMicrosecond);
 
+void BM_MetroScanChurn(benchmark::State& state) {
+  // The metro scan pattern: what MetroWorld's roaming STAs do between AP
+  // beacons. A street-scale lattice on the {1, 6, 11} plan where every 16th
+  // radio is a beaconing AP and, before each beacon, a few STAs step their
+  // passive scan to the next channel. A hop touches only two lanes of the
+  // hopper's cell, so a beacon's plan survives off-channel hops, and an
+  // on-channel hop rebuilds it with every receiver's RSSI carried over
+  // (nobody moved). Grid on, pair cache off: the metro medium profile.
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  sim::Simulator sim(17);
+  phy::MediumConfig cfg;
+  cfg.spatial_grid = true;
+  cfg.pair_rssi_cache = false;
+  phy::Medium medium(sim, cfg);
+  const std::size_t side =
+      static_cast<std::size_t>(std::ceil(std::sqrt(static_cast<double>(n))));
+  constexpr phy::Channel kPlan[3] = {1, 6, 11};
+  std::vector<std::unique_ptr<phy::Radio>> radios;
+  std::vector<std::size_t> scan_step;  // index into kPlan per radio
+  radios.reserve(n);
+  std::uint64_t delivered = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    auto r = std::make_unique<phy::Radio>(medium, "r" + std::to_string(i));
+    r->set_position({static_cast<double>(i % side) * 25.0,
+                     static_cast<double>(i / side) * 25.0});
+    r->set_channel(kPlan[i % 3]);
+    scan_step.push_back(i % 3);
+    r->set_receive_handler(
+        [&delivered](util::ByteView, const phy::RxInfo&) { ++delivered; });
+    radios.push_back(std::move(r));
+  }
+  const util::Bytes frame = random_bytes(128);
+  util::Prng rng(91);
+  constexpr int kBeacons = 64;
+  constexpr int kHopsPerBeacon = 4;
+  for (auto _ : state) {
+    for (int b = 0; b < kBeacons; ++b) {
+      for (int h = 0; h < kHopsPerBeacon; ++h) {
+        const std::size_t sta = rng.uniform_u64(0, n - 1);
+        scan_step[sta] = (scan_step[sta] + 1) % 3;
+        radios[sta]->set_channel(kPlan[scan_step[sta]]);
+      }
+      const std::size_t ap = rng.uniform_u64(0, n / 16 - 1) * 16;
+      sim.after(2'000, [&radios, &frame, ap] { radios[ap]->transmit(frame); });
+      sim.run();
+    }
+    benchmark::DoNotOptimize(delivered);
+  }
+  state.SetItemsProcessed(state.iterations() * kBeacons);
+}
+BENCHMARK(BM_MetroScanChurn)->Arg(4096)->Unit(benchmark::kMicrosecond);
+
 void BM_ArenaAcquireRelease(benchmark::State& state) {
   // Steady-state frame-buffer traffic: acquire a pooled buffer, serialize a
   // frame-sized payload into it, hand it back. The depth-16 working set

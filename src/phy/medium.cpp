@@ -1,6 +1,7 @@
 #include "phy/medium.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "util/assert.hpp"
@@ -35,8 +36,9 @@ void Radio::trim_tx_state() {
 
 void Radio::set_channel(Channel ch) {
   if (ch == channel_) return;
-  medium_.move_channel(this, channel_, ch);
+  const Channel from = channel_;
   channel_ = ch;
+  medium_.move_channel(this, from);
 }
 
 void Radio::transmit(util::Bytes frame) {
@@ -254,7 +256,7 @@ std::uint32_t Medium::cell_at(std::int32_t cx, std::int32_t cy) {
   const auto [slot, inserted] = cell_index_.try_emplace(cell_key(cx, cy));
   if (inserted) {
     *slot = static_cast<std::uint32_t>(cells_.size()) + 1;
-    cells_.push_back(Cell{cx, cy, 1, {}});
+    cells_.push_back(Cell{cx, cy, {}});
   }
   return *slot - 1;
 }
@@ -273,51 +275,80 @@ std::int32_t Medium::cell_chebyshev(std::int32_t ax, std::int32_t ay,
   return d > 3 ? 3 : static_cast<std::int32_t>(d);  // callers compare <= 2
 }
 
-std::uint64_t Medium::neighborhood_epochs(std::int32_t cx, std::int32_t cy) const {
+const Medium::Lane* Medium::find_lane(const Cell& cell, Channel channel) {
+  for (const Lane& lane : cell.lanes) {
+    if (lane.channel == channel) return &lane;
+  }
+  return nullptr;
+}
+
+Medium::Lane& Medium::lane_at(Cell& cell, Channel channel) {
+  for (Lane& lane : cell.lanes) {
+    if (lane.channel == channel) return lane;
+  }
+  cell.lanes.push_back(Lane{channel, 1, {}});
+  return cell.lanes.back();
+}
+
+Medium::Lane& Medium::lane_of(const Radio& radio) {
+  return lane_at(cells_[radio.cell_], radio.channel_);
+}
+
+std::uint64_t Medium::neighborhood_lanes(std::int32_t cx, std::int32_t cy,
+                                         Channel channel, NeighborLanes& out) const {
   // Sum of monotone counters over a fixed 3x3 neighborhood: strictly
-  // increases on any membership/geometry change inside it (including a
-  // cell springing into existence — insertion bumps the new cell's epoch
-  // past its initial value), so an equal sum means an unchanged audible
-  // world. Missing cells contribute 0.
+  // increases on any same-channel membership/geometry change inside it
+  // (including a lane springing into existence — insertion bumps the new
+  // lane's epoch past its initial value), so an equal sum means an
+  // unchanged audible world on `channel`. Missing lanes contribute 0.
   std::uint64_t sum = 0;
   for (std::int32_t dy = -1; dy <= 1; ++dy) {
     for (std::int32_t dx = -1; dx <= 1; ++dx) {
       const std::uint32_t ci = find_cell(cx + dx, cy + dy);
-      if (ci != Radio::kNoCell) sum += cells_[ci].epoch;
+      if (ci == Radio::kNoCell) continue;
+      if (const Lane* lane = find_lane(cells_[ci], channel)) {
+        sum += lane->epoch;
+        out.lanes[out.count++] = lane;
+      }
     }
   }
   return sum;
 }
 
+void Medium::insert_by_attach_seq(std::vector<Radio*>& list, Radio* radio) {
+  const auto pos = std::lower_bound(
+      list.begin(), list.end(), radio,
+      [](const Radio* a, const Radio* b) { return a->attach_seq_ < b->attach_seq_; });
+  list.insert(pos, radio);
+}
+
 void Medium::grid_insert(Radio* radio) {
   const auto [cx, cy] = grid_coords(radio->position_);
   const std::uint32_t ci = cell_at(cx, cy);
-  Cell& cell = cells_[ci];
+  Lane& lane = lane_at(cells_[ci], radio->channel_);
   // Sorted by attach_seq_ so neighborhood gathers can restore the flat
-  // path's receiver order with one small sort.
-  const auto pos = std::lower_bound(
-      cell.members.begin(), cell.members.end(), radio,
-      [](const Radio* a, const Radio* b) { return a->attach_seq_ < b->attach_seq_; });
-  cell.members.insert(pos, radio);
-  ++cell.epoch;
+  // path's receiver order with one merge.
+  insert_by_attach_seq(lane.members, radio);
+  ++lane.epoch;
   radio->cell_ = ci;
 }
 
 void Medium::grid_remove(Radio* radio) {
-  Cell& cell = cells_[radio->cell_];
-  std::erase(cell.members, radio);
-  ++cell.epoch;
+  Lane& lane = lane_of(*radio);
+  std::erase(lane.members, radio);
+  ++lane.epoch;
   radio->cell_ = Radio::kNoCell;
 }
 
 void Medium::radio_moved(Radio& radio) {
   const auto [cx, cy] = grid_coords(radio.position_);
-  Cell& cell = cells_[radio.cell_];
+  const Cell& cell = cells_[radio.cell_];
   if (cell.cx == cx && cell.cy == cy) {
-    // Same cell: geometry changed, so every plan whose neighborhood holds
-    // this cell must refresh its RSSIs — but only those. Senders more than
-    // one cell away never heard this radio and keep their plans.
-    ++cell.epoch;
+    // Same cell: geometry changed, so every same-channel plan whose
+    // neighborhood holds this cell must refresh its RSSIs — but only those.
+    // Senders more than one cell away, or on another channel, never heard
+    // this radio and keep their plans.
+    ++lane_of(radio).epoch;
     return;
   }
   grid_remove(&radio);
@@ -326,7 +357,7 @@ void Medium::radio_moved(Radio& radio) {
 
 void Medium::radio_retuned(Radio& radio) {
   ensure_grid_bounds(radio);
-  ++cells_[radio.cell_].epoch;
+  ++lane_of(radio).epoch;
 }
 
 void Medium::ensure_grid_bounds(const Radio& radio) {
@@ -359,7 +390,23 @@ std::vector<const Radio*> Medium::grid_cell_members(std::int32_t cx,
                                                     std::int32_t cy) const {
   const std::uint32_t ci = find_cell(cx, cy);
   if (ci == Radio::kNoCell) return {};
-  return {cells_[ci].members.begin(), cells_[ci].members.end()};
+  std::vector<const Radio*> members;
+  for (const Lane& lane : cells_[ci].lanes) {
+    members.insert(members.end(), lane.members.begin(), lane.members.end());
+  }
+  std::sort(members.begin(), members.end(), [](const Radio* a, const Radio* b) {
+    return a->attach_seq_ < b->attach_seq_;
+  });
+  return members;
+}
+
+std::vector<const Radio*> Medium::grid_lane_members(std::int32_t cx, std::int32_t cy,
+                                                    Channel channel) const {
+  const std::uint32_t ci = find_cell(cx, cy);
+  if (ci == Radio::kNoCell) return {};
+  const Lane* lane = find_lane(cells_[ci], channel);
+  if (lane == nullptr) return {};
+  return {lane->members.begin(), lane->members.end()};
 }
 
 // ---- Membership -------------------------------------------------------------
@@ -406,21 +453,22 @@ void Medium::detach(Radio* radio) {
   }
 }
 
-void Medium::move_channel(Radio* radio, Channel from, Channel to) {
+void Medium::move_channel(Radio* radio, Channel from) {
   if (grid_enabled()) {
-    // Cell membership is channel-agnostic; the hop only perturbs plans in
-    // the radio's own neighborhood (it appears/disappears as a receiver).
-    ++cells_[radio->cell_].epoch;
+    // The hop moves the radio between two lanes of its cell, so it
+    // perturbs only plans on `from` and on the new channel in its own
+    // neighborhood (it leaves one channel's receivers, joins the other's).
+    Lane& old_lane = lane_at(cells_[radio->cell_], from);
+    std::erase(old_lane.members, radio);
+    ++old_lane.epoch;
+    Lane& lane = lane_of(*radio);  // may grow the lane vector: after old_lane
+    insert_by_attach_seq(lane.members, radio);
+    ++lane.epoch;
   } else {
     std::erase(channel_list(from), radio);
     // Re-insert by attach_seq_ so the per-channel order stays the global
     // attach order (deliver's RNG draw order depends on it).
-    auto& list = channel_list(to);
-    const auto pos = std::lower_bound(
-        list.begin(), list.end(), radio, [](const Radio* a, const Radio* b) {
-          return a->attach_seq_ < b->attach_seq_;
-        });
-    list.insert(pos, radio);
+    insert_by_attach_seq(channel_list(radio->channel_), radio);
   }
   invalidate_plans();
 }
@@ -433,58 +481,116 @@ const Radio::DeliveryPlan& Medium::delivery_plan(const Radio& sender,
   if (!grid_enabled()) {
     if (plan.epoch == world_epoch_ && plan.channel == channel) return plan;
     const obs::Profiler::Scope scope(sim_.profiler(), plan_scope_);
-    ++plan_rebuild_count_;
+    Reuse reuse = begin_rebuild(sender, plan, channel);
     plan.epoch = world_epoch_;
-    plan.channel = channel;
-    plan.entries.clear();
-    // pair_rssi keeps the per-pair epoch cache: a rebuild triggered by one
-    // radio's move only recomputes the pairs whose endpoints actually
-    // changed, and the rssi_miss_count_ bookkeeping stays identical to the
-    // pre-plan per-visit probing (same pairs stale at the same times).
     if (const std::vector<Radio*>* list = find_channel_list(channel)) {
       plan.entries.reserve(list->size());
       for (Radio* rx : *list) {
-        if (rx == &sender) continue;
-        plan.entries.push_back(
-            Radio::PlanEntry{rx, pair_rssi(sender, *rx), rx->sensitivity_dbm_});
+        if (rx != &sender) add_row(sender, plan, reuse, rx);
       }
     }
     return plan;
   }
 
+  // The sender's own moves and retunes bump its lane. If it sat on another
+  // channel at the time, it must hop back — bumping this channel's lane —
+  // before it can transmit here again, so the sum covers it either way.
   const Cell& home = cells_[sender.cell_];
-  const std::uint64_t neigh = neighborhood_epochs(home.cx, home.cy);
+  NeighborLanes lanes;
+  const std::uint64_t neigh = neighborhood_lanes(home.cx, home.cy, channel, lanes);
   if (plan.epoch == grid_epoch_ && plan.channel == channel &&
       plan.cell == sender.cell_ && plan.neigh_epochs == neigh) {
     return plan;
   }
   const obs::Profiler::Scope scope(sim_.profiler(), plan_scope_);
-  ++plan_rebuild_count_;
+  Reuse reuse = begin_rebuild(sender, plan, channel);
   plan.epoch = grid_epoch_;
-  plan.channel = channel;
   plan.cell = sender.cell_;
   plan.neigh_epochs = neigh;
-  plan.entries.clear();
-  for (std::int32_t dy = -1; dy <= 1; ++dy) {
-    for (std::int32_t dx = -1; dx <= 1; ++dx) {
-      const std::uint32_t ci = find_cell(home.cx + dx, home.cy + dy);
-      if (ci == Radio::kNoCell) continue;
-      for (Radio* rx : cells_[ci].members) {
-        if (rx == &sender || rx->channel_ != channel) continue;
-        plan.entries.push_back(
-            Radio::PlanEntry{rx, pair_rssi(sender, *rx), rx->sensitivity_dbm_});
-      }
-    }
-  }
   // Receivers must be visited in attach_seq_ order — the order the flat
   // path walks them — so a delivery's RNG draw sequence cannot depend on
-  // cell geometry. Cells are individually sorted; the 9-way union is
-  // small, so one sort beats a heap merge.
-  std::sort(plan.entries.begin(), plan.entries.end(),
-            [](const Radio::PlanEntry& a, const Radio::PlanEntry& b) {
-              return a.rx->attach_seq_ < b.rx->attach_seq_;
-            });
+  // cell geometry. Each lane is sorted already, so a 9-way merge (over
+  // the heads' cached keys) yields that order without a sort.
+  struct Run {
+    Radio* const* next;
+    Radio* const* end;
+    std::uint64_t seq;  ///< (*next)->attach_seq_
+  };
+  std::array<Run, 9> runs;
+  std::size_t live = 0;
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < lanes.count; ++i) {
+    const std::vector<Radio*>& m = lanes.lanes[i]->members;
+    if (m.empty()) continue;
+    runs[live++] = Run{m.data(), m.data() + m.size(), m.front()->attach_seq_};
+    total += m.size();
+  }
+  plan.entries.reserve(total);
+  while (live > 0) {
+    std::size_t best = 0;
+    std::uint64_t best_seq = runs[0].seq;
+    for (std::size_t k = 1; k < live; ++k) {
+      // Select, don't branch: which head is smallest is a coin toss.
+      const bool less = runs[k].seq < best_seq;
+      best = less ? k : best;
+      best_seq = less ? runs[k].seq : best_seq;
+    }
+    Run& run = runs[best];
+    if (*run.next != &sender) add_row(sender, plan, reuse, *run.next);
+    if (++run.next == run.end) {
+      run = runs[--live];
+    } else {
+      run.seq = (*run.next)->attach_seq_;
+    }
+  }
   return plan;
+}
+
+Medium::Reuse Medium::begin_rebuild(const Radio& sender, Radio::DeliveryPlan& plan,
+                                   Channel channel) {
+  ++plan_rebuild_count_;
+  // A stashed RSSI stays exact while neither endpoint changes geometry after
+  // the stashed build; add_row() checks the receiver, this the sender. No
+  // detach since the build also means no row's receiver pointer can have
+  // been recycled for a newly attached radio — the ABA case a pointer match
+  // alone would miss.
+  stash_.clear();
+  if (sender.geom_tick_ <= plan.geom_tick && plan.cache_gen == cache_generation_) {
+    stash_.assign(plan.entries.begin(), plan.entries.end());
+  }
+  const Reuse reuse{stash_.data(), stash_.data() + stash_.size(), plan.geom_tick};
+  plan.channel = channel;
+  plan.geom_tick = geom_clock_;
+  plan.cache_gen = cache_generation_;
+  plan.entries.clear();
+  return reuse;
+}
+
+void Medium::add_row(const Radio& sender, Radio::DeliveryPlan& plan, Reuse& reuse,
+                     Radio* rx) {
+  // Rows arrive in attach_seq_ order and the stash is in the same order, so
+  // one forward cursor pairs each receiver with its previous row. Stashed
+  // receivers are all still attached (nothing detached since their build),
+  // so following them is safe.
+  //
+  // With the pair cache on, a reused row is exactly a pair_rssi() hit: the
+  // row's value went into the pair's cache entry when it was computed,
+  // neither radio's geometry has changed since, and the cache is dropped
+  // only by a detach or trim_tx_state(), both of which also empty the
+  // stash. So hit/miss counts do not depend on reuse.
+  //
+  // The pointer test comes first: usually the cursor already sits on `rx`.
+  while (reuse.next != reuse.end && reuse.next->rx != rx &&
+         reuse.next->rx->attach_seq_ < rx->attach_seq_) {
+    ++reuse.next;
+  }
+  double rssi;
+  if (reuse.next != reuse.end && reuse.next->rx == rx && rx->geom_tick_ <= reuse.tick) {
+    rssi = reuse.next->rssi_dbm;
+  } else {
+    rssi = pair_rssi(sender, *rx);
+  }
+  plan.entries.push_back(Radio::PlanEntry{rx, rssi, rx->sensitivity_dbm_});
 }
 
 double Medium::pair_rssi(const Radio& tx, const Radio& rx) {

@@ -14,13 +14,16 @@
 //     and any world change bumps one global epoch. Right for office-sized
 //     worlds where everyone hears everyone.
 //   - spatial grid (MediumConfig::spatial_grid): radios are bucketed into
-//     square cells whose side is the maximum audible range, so a sender's
-//     delivery plan only walks its 3x3 cell neighborhood and a position
-//     change invalidates only the senders whose neighborhoods contain the
-//     affected cell. Carrier sense and collisions localize the same way.
-//     Right for metro-scale worlds (hundreds of APs, 10k+ roaming STAs).
+//     square cells whose side is the maximum audible range, and each cell
+//     into per-channel lanes, so a sender's delivery plan only walks its
+//     own channel's lanes in the 3x3 cell neighborhood, and a position or
+//     channel change invalidates only the same-channel senders whose
+//     neighborhoods contain the affected lane. Carrier sense and
+//     collisions localize the same way. Right for metro-scale worlds
+//     (hundreds of APs, 10k+ roaming STAs).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -173,14 +176,18 @@ class Radio {
   /// against the medium's world epoch (any attach/detach/channel/
   /// geometry/sensitivity change invalidates every plan at once). Grid
   /// mode validates it against the sender's cell plus the summed epochs
-  /// of the 3x3 neighborhood (cell epochs only move forward, so an
-  /// unchanged sum over a fixed neighborhood means an unchanged world
-  /// within audible range).
+  /// of the plan channel's lanes in the 3x3 neighborhood (lane epochs only
+  /// move forward, so an unchanged sum over a fixed neighborhood means an
+  /// unchanged same-channel world within audible range). `geom_tick` and
+  /// `cache_gen` only decide which rows the next rebuild may reuse: every
+  /// row's RSSI is exact as of `geom_tick`.
   struct DeliveryPlan {
     std::uint64_t epoch = 0;  ///< world epoch (flat) / grid epoch (grid); 0 = never built
     Channel channel = 0;
     std::uint32_t cell = kNoCell;    ///< sender's cell index at build (grid)
-    std::uint64_t neigh_epochs = 0;  ///< 3x3 cell-epoch sum at build (grid)
+    std::uint64_t neigh_epochs = 0;  ///< 3x3 lane-epoch sum at build (grid)
+    std::uint64_t geom_tick = 0;     ///< Medium::geom_clock_ at build
+    std::uint64_t cache_gen = 0;     ///< Medium::cache_generation_ at build
     std::vector<PlanEntry> entries;
   };
 
@@ -195,6 +202,11 @@ class Radio {
   std::uint64_t attach_seq_ = 0;   ///< attach order; keys the medium's caches
   obs::TraceActorId trace_actor_;  ///< tracer track for this radio's records
   std::uint32_t geom_epoch_ = 0;   ///< bumped on position/tx-power changes
+  /// Medium::geom_clock_ at this radio's last position/tx-power change: a
+  /// plan built at a later tick holds this radio's current geometry. (Pair
+  /// cache entries keep the per-radio 32-bit geom_epoch_ instead, so they
+  /// stay 16 bytes.)
+  std::uint64_t geom_tick_ = 0;
   std::uint32_t cell_ = kNoCell;   ///< grid cell index (grid mode only)
   std::size_t radios_index_ = 0;   ///< slot in Medium::radios_ (O(1) detach)
   /// Mutable: rebuilt lazily inside deliver_impl(), which sees the sender
@@ -271,10 +283,14 @@ class Medium {
   /// Cell coordinates a radio at `p` belongs to.
   [[nodiscard]] std::pair<std::int32_t, std::int32_t> grid_coords(
       const Position& p) const;
-  /// Members of one cell in attach_seq_ order (empty if the cell does not
-  /// exist). For property tests against brute-force recomputation.
+  /// Members of one cell on every channel, in attach_seq_ order (empty if
+  /// the cell does not exist). For property tests against brute-force
+  /// recomputation.
   [[nodiscard]] std::vector<const Radio*> grid_cell_members(
       std::int32_t cx, std::int32_t cy) const;
+  /// Members of one cell's lane for `channel`, in lane (attach_seq_) order.
+  [[nodiscard]] std::vector<const Radio*> grid_lane_members(
+      std::int32_t cx, std::int32_t cy, Channel channel) const;
 
   /// Chaos knob: extra loss probability layered on top of the configured
   /// base_loss_prob while a degradation window is open (fault injection,
@@ -320,15 +336,24 @@ class Medium {
     std::uint64_t trace_id;
   };
 
+  /// The radios of one grid cell tuned to one channel, sorted by
+  /// attach_seq_ so neighborhood gathers preserve the flat path's RNG draw
+  /// order. Lanes are created on first occupancy and kept for the life of
+  /// the run (their epoch must stay monotone).
+  struct Lane {
+    Channel channel = 0;
+    std::uint64_t epoch = 1;  ///< bumped on membership/geometry change
+    std::vector<Radio*> members;
+  };
+
   /// One grid cell: the radios currently inside one cell-sized square,
-  /// sorted by attach_seq_ so neighborhood gathers preserve the flat
-  /// path's RNG draw order. Cells are created on first occupancy and kept
-  /// for the life of the run (their epoch must stay monotone).
+  /// split into per-channel lanes. Sparse — a cell holds a lane only for
+  /// channels it has held a radio on (a handful, so lookup is a scan).
+  /// Cells are created on first occupancy and kept for the life of the run.
   struct Cell {
     std::int32_t cx = 0;
     std::int32_t cy = 0;
-    std::uint64_t epoch = 1;  ///< bumped on membership/geometry change
-    std::vector<Radio*> members;
+    std::vector<Lane> lanes;
   };
 
   /// Flat-mode per-channel index. Sized by occupancy — worlds touch a
@@ -341,7 +366,10 @@ class Medium {
 
   void attach(Radio* radio);
   void detach(Radio* radio);
-  void move_channel(Radio* radio, Channel from, Channel to);
+  /// set_channel() hook, called with the radio already on its new channel.
+  void move_channel(Radio* radio, Channel from);
+  /// Insert into a list kept sorted by attach_seq_ (RNG draw order).
+  static void insert_by_attach_seq(std::vector<Radio*>& list, Radio* radio);
   void transmit(Radio& sender, util::Bytes frame);
   void deliver(std::uint64_t tx_id, const Radio* sender, const util::Bytes& frame);
   void deliver_impl(std::uint64_t tx_id, const Radio* sender,
@@ -360,6 +388,22 @@ class Medium {
   /// The sender's flattened fan-out table for `channel`, rebuilt if stale.
   [[nodiscard]] const Radio::DeliveryPlan& delivery_plan(const Radio& sender,
                                                          Channel channel);
+  /// Cursor over the old rows a rebuild may reuse, in attach_seq_ order.
+  struct Reuse {
+    const Radio::PlanEntry* next;
+    const Radio::PlanEntry* end;
+    std::uint64_t tick;  ///< the old plan's geom_tick
+  };
+  /// Rebuild prologue: stash the rows a rebuild may reuse (none unless the
+  /// sender has not moved and no radio has detached since the last build),
+  /// then restamp the plan and clear its rows for the gather.
+  [[nodiscard]] Reuse begin_rebuild(const Radio& sender, Radio::DeliveryPlan& plan,
+                                    Channel channel);
+  /// Append the row for `rx`; rows must arrive in attach_seq_ order. Its
+  /// pre-noise RSSI is the stashed row's when the receiver has not moved
+  /// either, else pair_rssi().
+  void add_row(const Radio& sender, Radio::DeliveryPlan& plan, Reuse& reuse,
+               Radio* rx);
   /// CSMA view for one listening radio: in grid mode only transmissions
   /// from the listener's 3x3 neighborhood are sensed.
   [[nodiscard]] sim::Time channel_busy_for(const Radio& listener) const;
@@ -377,21 +421,33 @@ class Medium {
   [[nodiscard]] std::uint32_t cell_at(std::int32_t cx, std::int32_t cy);
   /// Index of an existing cell, or Radio::kNoCell.
   [[nodiscard]] std::uint32_t find_cell(std::int32_t cx, std::int32_t cy) const;
-  /// Sum of the 3x3 neighborhood's cell epochs around (cx, cy). Missing
-  /// cells contribute 0; a cell springing into existence bumps the sum
+  /// The cell's lane for `channel`, or nullptr if it never held one.
+  [[nodiscard]] static const Lane* find_lane(const Cell& cell, Channel channel);
+  /// The cell's lane for `channel`, created on first use.
+  [[nodiscard]] static Lane& lane_at(Cell& cell, Channel channel);
+  /// The lane `radio` currently sits in.
+  [[nodiscard]] Lane& lane_of(const Radio& radio);
+  /// The existing `channel` lanes of one 3x3 neighborhood.
+  struct NeighborLanes {
+    std::array<const Lane*, 9> lanes{};
+    std::size_t count = 0;
+  };
+  /// Collect the `channel` lanes of the 3x3 neighborhood around (cx, cy)
+  /// into `out` and return the sum of their epochs. Missing cells and
+  /// lanes contribute 0; a lane springing into existence bumps the sum
   /// because insertion bumps its epoch past the initial value.
-  [[nodiscard]] std::uint64_t neighborhood_epochs(std::int32_t cx,
-                                                 std::int32_t cy) const;
-  /// Insert `radio` into the cell for its current position (sorted by
-  /// attach_seq_) and bump that cell's epoch.
+  std::uint64_t neighborhood_lanes(std::int32_t cx, std::int32_t cy,
+                                   Channel channel, NeighborLanes& out) const;
+  /// Insert `radio` into its channel's lane of the cell for its current
+  /// position (sorted by attach_seq_) and bump that lane's epoch.
   void grid_insert(Radio* radio);
-  /// Remove `radio` from its cell and bump that cell's epoch.
+  /// Remove `radio` from its lane and bump that lane's epoch.
   void grid_remove(Radio* radio);
-  /// set_position() hook: same cell -> bump its epoch (geometry changed);
-  /// cell crossing -> move membership and bump both cells.
+  /// set_position() hook: same cell -> bump its lane's epoch (geometry
+  /// changed); cell crossing -> move membership and bump both lanes.
   void radio_moved(Radio& radio);
   /// set_tx_power/set_sensitivity hook: widen grid bounds if needed, bump
-  /// the radio's cell.
+  /// the radio's lane.
   void radio_retuned(Radio& radio);
   /// Widen the power ceiling / sensitivity floor to cover `radio`; regrids
   /// (rare, O(N)) when the audible range outgrows the current cell side.
@@ -415,6 +471,9 @@ class Medium {
   util::FlatU64Map<Radio*> by_seq_;
   std::vector<ChannelList> channels_;
   std::vector<ActiveTx> active_;
+  /// Rows of the plan being rebuilt, kept for RSSI reuse (begin_rebuild()).
+  /// One buffer per medium: its capacity tracks the largest plan only once.
+  std::vector<Radio::PlanEntry> stash_;
 
   // Spatial grid state (grid mode only; empty containers otherwise).
   std::vector<Cell> cells_;
@@ -436,6 +495,8 @@ class Medium {
   /// its next probe (same observable miss pattern as clearing one global
   /// pair cache eagerly, without the world-sized sweep per detach).
   std::uint64_t cache_generation_ = 1;
+  /// Ticks once per position/tx-power change anywhere (Radio::geom_tick_).
+  std::uint64_t geom_clock_ = 0;
   obs::PcapWriter* pcap_ = nullptr;
 
   // Hot-path tallies stay plain members (an increment is one add, no
@@ -486,6 +547,7 @@ class Medium {
 inline void Radio::set_position(Position p) {
   position_ = p;
   ++geom_epoch_;
+  geom_tick_ = ++medium_.geom_clock_;
   if (medium_.grid_enabled()) {
     medium_.radio_moved(*this);
   } else {
@@ -496,6 +558,7 @@ inline void Radio::set_position(Position p) {
 inline void Radio::set_tx_power_dbm(double p) {
   tx_power_dbm_ = p;
   ++geom_epoch_;
+  geom_tick_ = ++medium_.geom_clock_;
   if (medium_.grid_enabled()) {
     medium_.radio_retuned(*this);
   } else {

@@ -1,10 +1,13 @@
 // Spatial-grid medium + metro world tests: grid-vs-flat equivalence (the
 // grid is an indexing structure, not a physics change — a world that fits
-// in one cell neighborhood must produce byte-identical results), cell
-// membership consistency under churn, localized plan invalidation,
-// chaos-delayed delivery revalidation, and metro sweep determinism.
+// in one cell neighborhood must produce byte-identical results), the same
+// equivalence under scripted churn with delivery-plan RSSI reuse and the
+// pair cache on or off, cell and lane membership consistency under churn,
+// localized plan invalidation, chaos-delayed delivery revalidation, and
+// metro sweep determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <deque>
 #include <map>
@@ -155,11 +158,132 @@ TEST(GridEquivalence, HotspotReportBytesMatchFlat) {
   EXPECT_EQ(run_sweep(true), flat);
 }
 
+// Randomized equivalence under churn: a scripted history of moves (some
+// across a cell border), channel hops, tx-power and sensitivity retunes,
+// trim_tx_state(), detach-then-attach, and one forced regrid, with
+// transmissions in between. Every radio stays inside one
+// neighborhood, so the grid and flat geometries must deliver to the same
+// receivers in the same order with bit-identical RSSI, and so must the
+// pair cache on and off. The reference run trims every radio's plan before
+// each transmission, so no rebuild there can carry a row over: a plan that
+// reuses a row's RSSI has to reproduce exactly what pair_rssi() returns.
+//
+// A re-attached radio is allocated right after the old one is freed, so it
+// usually gets the same address (the ABA case): a rebuild that carried
+// rows over across a detach would follow a freed receiver pointer (ASan
+// reports it) or take the newcomer for the radio it replaced.
+struct ChurnResult {
+  std::vector<std::string> log;
+  std::uint64_t rssi_lookups = 0;
+  std::uint64_t rssi_computed = 0;
+};
+
+ChurnResult scripted_churn(bool grid, bool pair_cache, bool trim_before_tx) {
+  // Derived cell side at the default power ceiling / sensitivity floor; the
+  // layout spans [0.5, 1.5) cells so moves cross a border in both axes.
+  const double cell = [] {
+    sim::Simulator probe_sim{1};
+    return Medium(probe_sim, grid_config()).grid_cell_size_m();
+  }();
+  sim::Simulator sim{31};
+  MediumConfig cfg;
+  cfg.spatial_grid = grid;
+  cfg.pair_rssi_cache = pair_cache;
+  Medium medium(sim, cfg);
+
+  constexpr std::size_t kSlots = 20;
+  constexpr phy::Channel kPlan[3] = {1, 6, 11};
+  util::Prng script(2024);  // the same script for every geometry
+  ChurnResult out;
+  std::vector<int> generation(kSlots, 0);
+  std::vector<std::unique_ptr<Radio>> radios(kSlots);
+  const auto random_pos = [&script, cell] {
+    return Position{cell * (0.5 + script.uniform01()),
+                    cell * (0.5 + script.uniform01())};
+  };
+  const auto attach = [&](std::size_t slot) {
+    const std::string name =
+        "r" + std::to_string(slot) + "." + std::to_string(generation[slot]++);
+    radios[slot] = std::make_unique<Radio>(medium, name);
+    Radio& r = *radios[slot];
+    r.set_position(random_pos());
+    r.set_channel(kPlan[script.uniform_u64(0, 2)]);
+    r.set_receive_handler([&out, &sim, name](util::ByteView frame,
+                                             const phy::RxInfo& info) {
+      char line[128];
+      std::snprintf(line, sizeof line, "t=%llu rx=%s ch=%u len=%zu rssi=%.17g",
+                    static_cast<unsigned long long>(sim.now()), name.c_str(),
+                    static_cast<unsigned>(info.channel), frame.size(),
+                    info.rssi_dbm);
+      out.log.emplace_back(line);
+    });
+  };
+  for (std::size_t slot = 0; slot < kSlots; ++slot) attach(slot);
+
+  constexpr int kSteps = 300;
+  for (int step = 0; step < kSteps; ++step) {
+    const std::size_t slot = script.uniform_u64(0, kSlots - 1);
+    Radio& r = *radios[slot];
+    const std::uint64_t op = script.uniform_u64(0, 9);
+    if (step == kSteps / 2) {
+      r.set_tx_power_dbm(20.0);  // above the grid's power ceiling: regrid
+    } else if (op <= 2) {
+      r.set_position(random_pos());
+    } else if (op <= 4) {
+      r.set_channel(kPlan[script.uniform_u64(0, 2)]);
+    } else if (op == 5) {
+      r.set_tx_power_dbm(10.0 + script.uniform01() * 5.0);
+    } else if (op == 6) {
+      r.set_sensitivity_dbm(-85.0 + script.uniform01() * 15.0);
+    } else if (op == 7) {
+      r.trim_tx_state();
+    } else if (op == 8) {
+      radios[slot].reset();
+      attach(slot);
+    }  // op 9: no change; the next plan is reused as is
+    // Two spaced transmissions per step, so unchanged plans get reused
+    // and changed ones rebuilt with most rows carried over.
+    for (int k = 0; k < 2; ++k) {
+      const std::size_t sender = script.uniform_u64(0, kSlots - 1);
+      sim.after(static_cast<sim::Time>(2'000 * (k + 1)), [&, sender, step] {
+        if (trim_before_tx) {
+          for (auto& radio : radios) radio->trim_tx_state();
+        }
+        radios[sender]->transmit(to_bytes("step" + std::to_string(step)));
+      });
+    }
+    sim.run();
+  }
+  out.log.push_back("tx=" + std::to_string(medium.frames_transmitted()) +
+                    " col=" + std::to_string(medium.collisions()));
+  const obs::StatsSnapshot stats = sim.stats().snapshot();
+  out.rssi_computed = stats.value("phy.rssi_cache_misses");
+  out.rssi_lookups = out.rssi_computed + stats.value("phy.rssi_cache_hits");
+  return out;
+}
+
+TEST(GridEquivalence, ScriptedChurnLogsMatchAcrossGeometryAndPairCache) {
+  const ChurnResult reference = scripted_churn(false, false, true);
+  ASSERT_GT(reference.log.size(), 1000u);  // the world delivered traffic
+  EXPECT_EQ(reference.rssi_computed, reference.rssi_lookups);  // no reuse
+  EXPECT_EQ(scripted_churn(false, true, false).log, reference.log);
+  EXPECT_EQ(scripted_churn(true, true, false).log, reference.log);
+  EXPECT_EQ(scripted_churn(false, false, false).log, reference.log);
+  const ChurnResult grid_direct = scripted_churn(true, false, false);
+  EXPECT_EQ(grid_direct.log, reference.log);
+  // With the pair cache off every computed RSSI counts as a miss, so the
+  // remaining lookups are rows a rebuild carried over: reuse happened, and
+  // the logs above show it changed nothing.
+  EXPECT_LT(grid_direct.rssi_computed, grid_direct.rssi_lookups);
+}
+
 // ---- Cell membership under churn ----------------------------------------
 
 // Property test: after an arbitrary attach/detach/move/retune/channel-hop
 // history, every live radio is findable in exactly the cell its position
-// maps to, and no cell holds radios that do not map back to it.
+// maps to, and no cell holds radios that do not map back to it. Cells
+// list members on every channel; within a cell each radio sits in exactly
+// the lane of its current channel.
 TEST(Grid, CellMembershipMatchesBruteForce) {
   sim::Simulator sim{5};
   Medium medium(sim, grid_config());
@@ -174,6 +298,31 @@ TEST(Grid, CellMembershipMatchesBruteForce) {
                     rng.uniform01() * 2000.0 - 500.0};
   };
 
+  // Radios are named "p<step>" at attach, so the step number is the
+  // attach order that cells and lanes must keep.
+  const auto attach_order = [](const std::vector<const Radio*>& members) {
+    return std::is_sorted(members.begin(), members.end(),
+                          [](const Radio* a, const Radio* b) {
+                            return std::stoi(a->name().substr(1)) <
+                                   std::stoi(b->name().substr(1));
+                          });
+  };
+  constexpr phy::Channel kHopPlan[3] = {1, 6, 11};
+  // Each live radio sits in exactly one lane of its cell: its channel's.
+  const auto verify_lanes = [&] {
+    for (const auto& r : radios) {
+      if (!r) continue;
+      const auto c = medium.grid_coords(r->position());
+      for (const phy::Channel ch : kHopPlan) {
+        const auto lane = medium.grid_lane_members(c.first, c.second, ch);
+        EXPECT_EQ(std::count(lane.begin(), lane.end(), r.get()),
+                  ch == r->channel() ? 1 : 0)
+            << r->name() << " in lane " << int{ch} << " of its cell";
+        EXPECT_TRUE(attach_order(lane)) << "lane " << int{ch} << " order";
+      }
+    }
+  };
+
   const auto verify = [&] {
     // Forward direction: each live radio is a member of its own cell,
     // exactly once.
@@ -183,11 +332,9 @@ TEST(Grid, CellMembershipMatchesBruteForce) {
       const auto c = medium.grid_coords(r->position());
       ++expect_count[c];
       const auto members = medium.grid_cell_members(c.first, c.second);
-      std::size_t hits = 0;
-      for (const Radio* m : members) {
-        if (m == r.get()) ++hits;
-      }
-      EXPECT_EQ(hits, 1u) << r->name() << " not exactly once in its cell";
+      EXPECT_EQ(std::count(members.begin(), members.end(), r.get()), 1)
+          << r->name() << " not exactly once in its cell";
+      EXPECT_TRUE(attach_order(members)) << r->name() << "'s cell order";
     }
     // Reverse direction: every cell ever occupied holds exactly the
     // radios that currently map to it (stale members would show here).
@@ -222,8 +369,9 @@ TEST(Grid, CellMembershipMatchesBruteForce) {
         }
         r.set_position(p);
         coords_ever.insert(medium.grid_coords(p));
-      } else if (op == 6) {  // channel hop (membership is channel-blind)
-        r.set_channel(r.channel() == 1 ? 11 : 1);
+      } else if (op == 6) {  // channel hop: moves the radio between lanes
+        r.set_channel(kHopPlan[rng.uniform_u64(0, 2)]);
+        verify_lanes();
       } else if (op == 7) {  // retune within the configured bounds
         r.set_sensitivity_dbm(-85.0 + rng.uniform01() * 20.0);
       } else {  // detach
@@ -233,6 +381,7 @@ TEST(Grid, CellMembershipMatchesBruteForce) {
     if (step % 40 == 0) verify();
   }
   verify();
+  verify_lanes();
 }
 
 // ---- Localized invalidation ---------------------------------------------
@@ -268,6 +417,47 @@ TEST(Grid, FarAwayMovementKeepsPlansValid) {
   EXPECT_EQ(rebuilds_after_far_churn(true), 1u);
   // Flat: the same churn costs a rebuild (world epoch moved).
   EXPECT_EQ(rebuilds_after_far_churn(false), 2u);
+}
+
+// Lanes: a plan depends only on its own channel's lanes. An off-channel
+// radio moving or hopping between other channels right next to the sender
+// must not rebuild the sender's plan; a hop onto the sender's channel must,
+// and the newcomer must then receive.
+TEST(Grid, OffChannelChurnKeepsPlansValid) {
+  sim::Simulator sim{9};
+  Medium medium(sim, grid_config());
+  Radio tx(medium, "tx");  // channel 1
+  Radio rx(medium, "rx");
+  rx.set_position({5.0, 0.0});
+  int rx_received = 0;
+  rx.set_receive_handler(
+      [&rx_received](util::ByteView, const phy::RxInfo&) { ++rx_received; });
+  Radio scanner(medium, "scanner");  // same cell as the sender
+  scanner.set_position({10.0, 0.0});
+  scanner.set_channel(6);
+  int scanner_received = 0;
+  scanner.set_receive_handler([&scanner_received](util::ByteView,
+                                                  const phy::RxInfo&) {
+    ++scanner_received;
+  });
+
+  sim.at(1'000, [&] { tx.transmit(to_bytes("one")); });
+  sim.at(5'000, [&] { scanner.set_position({12.0, 0.0}); });
+  sim.at(6'000, [&] { scanner.set_channel(11); });
+  sim.at(7'000, [&] { scanner.set_position({14.0, 3.0}); });
+  sim.at(8'000, [&] { scanner.set_channel(6); });
+  sim.at(20'000, [&] { tx.transmit(to_bytes("two")); });
+  sim.run();
+  EXPECT_EQ(medium.plan_rebuilds(), 1u);
+  EXPECT_EQ(rx_received, 2);
+  EXPECT_EQ(scanner_received, 0);
+
+  sim.at(30'000, [&] { scanner.set_channel(1); });
+  sim.at(40'000, [&] { tx.transmit(to_bytes("three")); });
+  sim.run();
+  EXPECT_EQ(medium.plan_rebuilds(), 2u);
+  EXPECT_EQ(rx_received, 3);
+  EXPECT_EQ(scanner_received, 1);
 }
 
 // Movement *inside* the neighborhood must still invalidate.
